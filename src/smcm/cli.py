@@ -17,6 +17,7 @@ import sys
 
 from .core import DegenerateRatesError, StepSizeError
 from .experiments import (
+    MODES,
     ConfigError,
     ExperimentConfig,
     dump_scan,
@@ -29,7 +30,7 @@ from .experiments import (
     write_timeseries,
 )
 from .lcu import SubnormalizationError
-from .linalg import ConvergenceError, NotPsdError
+from .linalg import NotPsdError
 from .qsim import InsufficientShotsError
 
 EXIT_OK = 0
@@ -37,7 +38,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_SHOTS = 4
 
-_RUN_KEYS = {
+DEFAULT_SCAN_VALUES = "100,400,1600,6400"
+DEFAULT_REPEATS = 5
+
+_CONFIG_KEYS = {
     "mode": str,
     "cape": float,
     "dryness": float,
@@ -46,29 +50,45 @@ _RUN_KEYS = {
     "sites": int,
     "shots": int,
     "seed": int,
-    "out": str,
     "spinup": float,
 }
+_RUN_KEYS = {**_CONFIG_KEYS, "out": str}
 _SCAN_KEYS = {**_RUN_KEYS, "values": str, "repeats": int}
+# option name -> ExperimentConfig field, where the two differ
+_FIELD_NAMES = {"sites": "n_sites", "shots": "n_shots"}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="smcm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = ExperimentConfig
+
     def add_common(p):
         p.add_argument("--config", help="key = value file; explicit flags override it")
-        p.add_argument("--mode", choices=("deterministic", "montecarlo", "quantum"))
-        p.add_argument("--cape", type=float, help="CAPE driver (default 0.25)")
-        p.add_argument("--dryness", type=float, help="dryness driver (default 0.75)")
-        p.add_argument("--dt", type=float, help="step size in hours (default 0.1)")
-        p.add_argument("--t-end", type=float, help="integration length in hours (default 100)")
-        p.add_argument("--sites", type=int, help="lattice sites for montecarlo (default 400)")
+        p.add_argument("--mode", choices=MODES, help=f"engine (default {defaults.mode})")
+        p.add_argument("--cape", type=float, help=f"CAPE driver (default {defaults.cape:g})")
         p.add_argument(
-            "--shots", type=int, help="shots per step for quantum; 0 = exact decode (default 40000)"
+            "--dryness", type=float, help=f"dryness driver (default {defaults.dryness:g})"
         )
-        p.add_argument("--seed", type=int, help="run seed (default 0)")
-        p.add_argument("--spinup", type=float, help="hours to drop before statistics (default 20)")
+        p.add_argument("--dt", type=float, help=f"step size in hours (default {defaults.dt:g})")
+        p.add_argument(
+            "--t-end", type=float, help=f"integration length in hours (default {defaults.t_end:g})"
+        )
+        p.add_argument(
+            "--sites", type=int, help=f"lattice sites for montecarlo (default {defaults.n_sites})"
+        )
+        p.add_argument(
+            "--shots",
+            type=int,
+            help=f"shots per step for quantum; 0 = exact decode (default {defaults.n_shots})",
+        )
+        p.add_argument("--seed", type=int, help=f"run seed (default {defaults.seed})")
+        p.add_argument(
+            "--spinup",
+            type=float,
+            help=f"hours to drop before statistics (default min({defaults.spinup:g}, 0.2*t-end))",
+        )
         p.add_argument("--out", help="output CSV path (default: stdout)")
 
     run = sub.add_parser("run", help="integrate one configuration, write the time series")
@@ -76,8 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan = sub.add_parser("scan", help="sweep sites/shots, write fluctuation RMS per value")
     add_common(scan)
-    scan.add_argument("--values", help="comma-separated sweep values, e.g. 100,400,1600,6400")
-    scan.add_argument("--repeats", type=int, help="seeds per sweep value (default 5)")
+    scan.add_argument(
+        "--values", help=f"comma-separated sweep values (default {DEFAULT_SCAN_VALUES})"
+    )
+    scan.add_argument(
+        "--repeats", type=int, help=f"seeds per sweep value (default {DEFAULT_REPEATS})"
+    )
 
     report = sub.add_parser("report", help="refit scan CSVs and print exponents and ratio")
     report.add_argument("--mc", help="scan CSV from a montecarlo sweep")
@@ -120,20 +144,12 @@ def _merge_options(args: argparse.Namespace, allowed: dict) -> dict:
 
 
 def _build_config(options: dict) -> ExperimentConfig:
-    t_end = options.get("t_end", 100.0)
-    # keep the 20 h default usable for short runs
-    spinup = options.get("spinup", min(20.0, 0.2 * t_end))
-    return ExperimentConfig(
-        mode=options.get("mode", "deterministic"),
-        cape=options.get("cape", 0.25),
-        dryness=options.get("dryness", 0.75),
-        dt=options.get("dt", 0.1),
-        t_end=t_end,
-        n_sites=options.get("sites", 400),
-        n_shots=options.get("shots", 40000),
-        seed=options.get("seed", 0),
-        spinup=spinup,
-    )
+    fields = {_FIELD_NAMES.get(k, k): v for k, v in options.items() if k in _CONFIG_KEYS}
+    if "spinup" not in fields:
+        # keep the default spin-up usable for short runs
+        t_end = fields.get("t_end", ExperimentConfig.t_end)
+        fields["spinup"] = min(ExperimentConfig.spinup, 0.2 * t_end)
+    return ExperimentConfig(**fields)
 
 
 def _emit_timeseries(series, out: str | None) -> None:
@@ -160,8 +176,8 @@ def _cmd_run(args) -> int:
 def _cmd_scan(args) -> int:
     options = _merge_options(args, _SCAN_KEYS)
     cfg = _build_config(options)
-    values = _parse_values(options.get("values", "100,400,1600,6400"))
-    result = scaling_scan(cfg, values, options.get("repeats", 5))
+    values = _parse_values(options.get("values", DEFAULT_SCAN_VALUES))
+    result = scaling_scan(cfg, values, options.get("repeats", DEFAULT_REPEATS))
     out = options.get("out")
     if out is None:
         dump_scan(result, sys.stdout)
@@ -197,13 +213,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        SubnormalizationError,
-        NotPsdError,
-        StepSizeError,
-        DegenerateRatesError,
-        ConvergenceError,
-    ) as exc:
+    except (SubnormalizationError, NotPsdError, StepSizeError, DegenerateRatesError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except InsufficientShotsError as exc:

@@ -99,6 +99,12 @@ class ExperimentConfig:
             raise ConfigError(f"dt must be positive, got {self.dt!r}")
         if not (math.isfinite(self.t_end) and self.t_end >= self.dt):
             raise ConfigError(f"t_end must be at least dt, got {self.t_end!r}")
+        steps = self.t_end / self.dt
+        if not math.isclose(steps, round(steps), rel_tol=1e-9):
+            raise ConfigError(
+                f"t_end must be a whole number of dt steps, got t_end={self.t_end!r}, "
+                f"dt={self.dt!r}"
+            )
         if not (math.isfinite(self.spinup) and 0 <= self.spinup < self.t_end):
             raise ConfigError(f"spinup must lie in [0, t_end), got {self.spinup!r}")
         if self.n_sites < 1:

@@ -1,21 +1,17 @@
-"""Self-contained dense linear algebra for the small matrices used here.
+"""Dense linear algebra for the small matrices used here.
 
-Everything is sized for 4x4 (or the 8x8 real embedding of a complex
-Hermitian product); plain loops are plenty at this scale and keep the
-numerical behaviour fully inspectable.
+The PSD square root and the spectral norm are thin wrappers around
+LAPACK (``numpy.linalg``) that add the input checks and the round-off
+policy the unitary construction relies on; the Householder completion
+is written out because numpy has no direct equivalent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "ConvergenceError",
-    "EigenDecomposition",
     "NotPsdError",
-    "jacobi_eigh",
     "spectral_norm",
     "sqrt_psd",
     "unitary_completion",
@@ -24,22 +20,6 @@ __all__ = [
 
 class NotPsdError(ValueError):
     """An eigenvalue fell below the round-off clamp for a PSD operand."""
-
-
-class ConvergenceError(RuntimeError):
-    """Jacobi sweeps hit the iteration cap without annihilating the off-diagonal."""
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues (descending) and orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.T
 
 
 def _check_symmetric(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -55,49 +35,6 @@ def _check_symmetric(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return matrix
 
 
-def jacobi_eigh(matrix: np.ndarray, off_tol: float = 1e-13, max_sweeps: int = 100) -> EigenDecomposition:
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps rotate away each off-diagonal pair in turn until the largest
-    off-diagonal magnitude drops below ``off_tol`` (scaled by the matrix
-    magnitude for inputs far from unit size). Unconditionally convergent
-    for symmetric input; the sweep cap is a safety net only.
-    """
-    a = _check_symmetric(matrix).copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    threshold = off_tol * max(1.0, np.abs(a).max())
-
-    converged = False
-    for _ in range(max_sweeps):
-        off = np.abs(a - np.diag(np.diag(a))).max()
-        if off < threshold:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < threshold:
-                    continue
-                # Stable rotation angle: tan via the smaller root.
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                a[[p, q], :] = rot.T @ a[[p, q], :]
-                a[p, q] = a[q, p] = 0.0
-                v[:, [p, q]] = v[:, [p, q]] @ rot
-    if not converged and np.abs(a - np.diag(np.diag(a))).max() >= threshold:
-        raise ConvergenceError(f"Jacobi did not converge within {max_sweeps} sweeps")
-
-    order = np.argsort(-np.diag(a), kind="stable")
-    return EigenDecomposition(eigenvalues=np.diag(a)[order], eigenvectors=v[:, order])
-
-
 def sqrt_psd(matrix: np.ndarray, clamp: float = 1e-10) -> np.ndarray:
     """Principal square root of a symmetric PSD matrix.
 
@@ -105,34 +42,20 @@ def sqrt_psd(matrix: np.ndarray, clamp: float = 1e-10) -> np.ndarray:
     to zero; anything below ``-clamp`` aborts, since fabricating a root
     there would silently hide a non-contractive operand upstream.
     """
-    dec = jacobi_eigh(matrix)
-    w = dec.eigenvalues
+    w, v = np.linalg.eigh(_check_symmetric(matrix))
     if w.min() < -clamp:
         raise NotPsdError(f"matrix is not PSD within tolerance: min eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)
-    root = (dec.eigenvectors * np.sqrt(w)) @ dec.eigenvectors.T
+    root = (v * np.sqrt(w)) @ v.T
     return 0.5 * (root + root.T)  # kill symmetry drift from round-off
 
 
 def spectral_norm(matrix: np.ndarray) -> float:
-    """Largest singular value, via the top eigenvalue of the Gram matrix.
-
-    For complex input the Hermitian Gram matrix is embedded as the real
-    symmetric block matrix [[Re, -Im], [Im, Re]], which has the same
-    spectrum (doubled), so one symmetric eigensolver covers both cases.
-    """
+    """Largest singular value of a real or complex matrix."""
     matrix = np.asarray(matrix)
     if not np.all(np.isfinite(matrix.real)) or not np.all(np.isfinite(matrix.imag)):
         raise ValueError("matrix entries must be finite")
-    gram = matrix.conj().T @ matrix
-    if np.iscomplexobj(gram):
-        re, im = gram.real, gram.imag
-        embedded = np.block([[re, -im], [im, re]])
-        sym = 0.5 * (embedded + embedded.T)
-    else:
-        sym = 0.5 * (gram + gram.T)
-    top = jacobi_eigh(sym).eigenvalues[0]
-    return float(np.sqrt(max(top, 0.0)))
+    return float(np.linalg.norm(matrix, 2))
 
 
 def unitary_completion(vector: np.ndarray, tol: float = 1e-12) -> np.ndarray:

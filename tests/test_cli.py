@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from smcm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_SHOTS, main
-from smcm.experiments import read_scan, read_timeseries
+from smcm.experiments import (
+    MODES,
+    ExperimentConfig,
+    read_scan,
+    read_timeseries,
+    run_simulation,
+    write_timeseries,
+)
 
 
 def test_run_writes_timeseries(tmp_path):
@@ -12,6 +19,17 @@ def test_run_writes_timeseries(tmp_path):
     series = read_timeseries(out)
     assert series.times[-1] == pytest.approx(2.0)
     assert np.abs(series.sigmas.sum(axis=1) - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_defaults_match_config_defaults(mode, tmp_path):
+    out, expected = tmp_path / "cli.csv", tmp_path / "config.csv"
+    argv = ["run", "--mode", mode, "--t-end", "2", "--seed", "1", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    write_timeseries(
+        run_simulation(ExperimentConfig(mode=mode, t_end=2, spinup=0.4, seed=1)), expected
+    )
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_run_defaults_to_stdout(capsys):
@@ -57,6 +75,11 @@ def test_unknown_config_key_is_config_error(tmp_path):
 
 def test_missing_config_file_is_config_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == EXIT_CONFIG
+
+
+def test_t_end_off_the_step_grid_is_config_error(capsys):
+    assert main(["run", "--t-end", "1.05"]) == EXIT_CONFIG
+    assert "whole number of dt steps" in capsys.readouterr().err
 
 
 def test_oversized_dt_is_numeric_error(capsys):

@@ -39,6 +39,8 @@ class TestConfig:
             dict(n_shots=-1),
             dict(seed=-1),
             dict(cape=-1.0),
+            dict(t_end=1.05, spinup=0.2),
+            dict(t_end=1.0, dt=0.3, spinup=0.2),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

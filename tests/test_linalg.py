@@ -5,68 +5,15 @@ from hypothesis import strategies as st
 
 from smcm.linalg import (
     NotPsdError,
-    jacobi_eigh,
     spectral_norm,
     sqrt_psd,
     unitary_completion,
 )
 
 
-def random_symmetric(rng, scale=1.0):
-    m = rng.normal(size=(4, 4)) * scale
-    return 0.5 * (m + m.T)
-
-
-def random_orthogonal(rng):
-    q, r = np.linalg.qr(rng.normal(size=(4, 4)))
-    return q * np.sign(np.diag(r))
-
-
 def random_unitary(rng):
     q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-class TestJacobiEigh:
-    def test_identity(self):
-        dec = jacobi_eigh(np.eye(4))
-        assert np.allclose(dec.eigenvalues, np.ones(4), atol=1e-15)
-
-    def test_diagonal_sorted_descending(self):
-        dec = jacobi_eigh(np.diag([3.0, 1.0, 4.0, 2.0]))
-        assert np.array_equal(dec.eigenvalues, [4.0, 3.0, 2.0, 1.0])
-
-    def test_reconstruction_and_orthogonality(self):
-        rng = np.random.default_rng(1)
-        for _ in range(1000):
-            s = random_symmetric(rng, scale=float(rng.uniform(0.1, 10)))
-            dec = jacobi_eigh(s)
-            assert np.abs(dec.reconstruct() - s).max() < 1e-10
-            v = dec.eigenvectors
-            assert np.abs(v.T @ v - np.eye(4)).max() < 1e-10
-
-    def test_matches_lapack_eigenvalues(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            s = random_symmetric(rng)
-            mine = jacobi_eigh(s).eigenvalues
-            lapack = np.linalg.eigvalsh(s)[::-1]
-            assert np.abs(mine - lapack).max() < 1e-10
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            jacobi_eigh(np.arange(16.0).reshape(4, 4))
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.floats(-100, 100), min_size=10, max_size=10))
-    def test_hypothesis_reconstruction(self, entries):
-        s = np.zeros((4, 4))
-        iu = np.triu_indices(4)
-        s[iu] = entries
-        s = s + np.triu(s, 1).T
-        dec = jacobi_eigh(s)
-        scale = max(1.0, np.abs(s).max())
-        assert np.abs(dec.reconstruct() - s).max() < 1e-10 * scale
 
 
 class TestSqrtPsd:
@@ -88,6 +35,31 @@ class TestSqrtPsd:
             root = sqrt_psd(s)
             assert np.abs(root @ root - s).max() < 1e-9
             assert np.abs(root - root.T).max() == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-100, 100), min_size=10, max_size=10))
+    def test_hypothesis_square_recovers_input(self, entries):
+        s = np.zeros((4, 4))
+        s[np.triu_indices(4)] = entries
+        s = s + np.triu(s, 1).T
+        p = s @ s / max(1.0, np.abs(s).max())  # PSD, entries at most 400
+        root = sqrt_psd(p)
+        scale = max(1.0, np.abs(p).max())
+        assert np.abs(root @ root - p).max() < 1e-10 * scale
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.arange(16.0).reshape(4, 4),
+            np.diag([1.0, np.nan, 1.0, 1.0]),
+            np.diag([1.0, 1.0, np.inf, 1.0]),
+            np.eye(4)[:3],
+        ],
+        ids=["asymmetric", "nan", "inf", "non-square"],
+    )
+    def test_invalid_input_rejected(self, matrix):
+        with pytest.raises(ValueError):
+            sqrt_psd(matrix)
 
     def test_round_off_negatives_clamped(self):
         s = np.diag([1.0, 0.5, -5e-11, 0.0])
