@@ -26,6 +26,7 @@ from .qsim import (
     quantum_step_exact,
     run_statevector,
     sample_shots,
+    step_operator,
 )
 from .experiments import (
     ExperimentConfig,

@@ -17,6 +17,10 @@ Conventions
   state and ``p @ sigma`` advances a fraction vector.
 * Fraction vectors live on the probability simplex: non-negative
   components summing to one.
+* Stochastic engines draw step ``t`` of a run from
+  :func:`step_generator`, a Philox stream keyed by the run seed with
+  ``t`` in the top counter word, so any step can be replayed from
+  ``(seed, t)`` alone.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 __all__ = [
     "CloudState",
@@ -37,6 +42,7 @@ __all__ = [
     "deterministic_step",
     "saturation",
     "stationary_fractions",
+    "step_generator",
     "transition_matrix",
     "transition_rates",
     "uniform_fractions",
@@ -160,6 +166,12 @@ def transition_matrix(rates: np.ndarray, dt: float) -> np.ndarray:
     p = rates.T * dt
     np.fill_diagonal(p, 1.0 - leave)
     return p
+
+
+def step_generator(seed: int, step: int) -> Generator:
+    """Counter-based generator for one step of a run: Philox keyed by
+    ``seed``, counter ``[0, 0, 0, step]``."""
+    return Generator(Philox(key=seed, counter=[0, 0, 0, step]))
 
 
 def uniform_fractions() -> np.ndarray:

@@ -156,8 +156,11 @@ class ScalingResult:
 def run_simulation(cfg: ExperimentConfig) -> TimeSeries:
     """Integrate one configuration from the uniform start to ``t_end``.
 
-    The environment is constant, so rates and the one-step matrix are
-    built once. Every step is recorded, the initial state included.
+    The environment is constant, so rates, the one-step matrix and the
+    compiled quantum step are built once. Every step is recorded, the
+    initial state included. In a sampled quantum run, the step from row
+    ``i`` to row ``i + 1`` draws its shots from
+    ``core.step_generator(seed, i)``; errors number steps from 1.
     """
     rates = transition_rates(EnvParams(cfg.cape, cfg.dryness), cfg.taus)
     p = transition_matrix(rates, cfg.dt)
@@ -179,15 +182,18 @@ def run_simulation(cfg: ExperimentConfig) -> TimeSeries:
             lattice = montecarlo.mc_step(lattice, p, streams)
             sigmas[i + 1] = montecarlo.fractions(lattice)
     else:
-        decomposition = decompose(p)
-        rng = np.random.default_rng(cfg.seed)
+        operator = qsim.step_operator(decompose(p))
         sigma = uniform_fractions()
         sigmas[0] = sigma
         for i in range(n_steps):
             if cfg.n_shots == 0:
-                sigma = qsim.quantum_step_exact(sigma, decomposition)
+                sigma = qsim.quantum_step_exact(sigma, operator)
             else:
-                sigma = qsim.quantum_step(sigma, decomposition, cfg.n_shots, rng)
+                rng = core.step_generator(cfg.seed, i)
+                try:
+                    sigma = qsim.quantum_step(sigma, operator, cfg.n_shots, rng)
+                except qsim.InsufficientShotsError as exc:
+                    raise qsim.InsufficientShotsError(f"step {i + 1} of {n_steps}: {exc}") from exc
             sigmas[i + 1] = sigma
 
     return TimeSeries(times=times, sigmas=sigmas)

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Generator
 
-from .core import N_STATES, validate_simplex, validate_stochastic
+from .core import N_STATES, step_generator, validate_simplex, validate_stochastic
 
 __all__ = [
     "Lattice",
@@ -39,7 +39,7 @@ _INIT_BLOCK = 1 << 62
 
 def step_uniforms(seed: int, step: int, n_sites: int) -> np.ndarray:
     """Per-site uniforms for one step; element ``i`` is site ``i``'s draw."""
-    return Generator(Philox(key=seed, counter=[0, 0, 0, step])).random(n_sites)
+    return step_generator(seed, step).random(n_sites)
 
 
 @dataclass
@@ -57,7 +57,7 @@ class SiteStreams:
     def init_rng(self) -> Generator:
         """Generator for initial-condition shuffling, on a counter block
         disjoint from every step."""
-        return Generator(Philox(key=self.seed, counter=[0, 0, 0, _INIT_BLOCK]))
+        return step_generator(self.seed, _INIT_BLOCK)
 
 
 @dataclass(frozen=True, eq=False)

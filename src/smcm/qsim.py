@@ -17,6 +17,13 @@ on ancilla 00, square-rooting the counts, and renormalising to unit sum
 recovers the advanced fractions. The square-root/renormalise readout
 makes the decoded step independent of both the input's L2 norm and the
 decomposition's recorded scale.
+
+Only the initialiser depends on the fractions, so a run compiles the rest
+of the circuit once: :func:`step_operator` returns the 16x4 isometry ``W``
+with final state ``W @ sigma_hat``, and each step is one matrix-vector
+product and one multinomial draw of the shot counts, whatever the shot
+count. The gate-level path (:func:`build_step_circuit`,
+:func:`run_statevector`) is the oracle that ``W`` is tested against.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import validate_simplex
+from .core import uniform_fractions, validate_simplex
 from .lcu import LcuDecomposition
 from .linalg import unitary_completion
 
@@ -47,6 +54,7 @@ __all__ = [
     "run_statevector",
     "run_with_snapshots",
     "sample_shots",
+    "step_operator",
     "zero_state",
 ]
 
@@ -202,6 +210,20 @@ def build_step_circuit(sigma: np.ndarray, decomposition: LcuDecomposition) -> li
     return gates
 
 
+def step_operator(decomposition: LcuDecomposition) -> np.ndarray:
+    """Compile the step circuit into the isometry ``W`` (16x4, complex).
+
+    The initialiser only maps data ``|00>`` to ``|sigma_hat>`` and commutes
+    with the ancilla Hadamards, so the circuit's final state is
+    ``W @ sigma_hat``, where column ``k`` of ``W`` is the other eight gates
+    run on ``|00>|k>``, i.e. the whole circuit applied to ``|++>|k>``.
+    """
+    gates = build_step_circuit(uniform_fractions(), decomposition)
+    fixed = gates[:2] + gates[3:]  # all but the initialiser, gate 2
+    basis = np.eye(DIM, dtype=complex)
+    return np.stack([run_statevector(fixed, initial=basis[k]) for k in range(4)], axis=1)
+
+
 def born_probabilities(state: np.ndarray) -> np.ndarray:
     """Measurement probabilities ``|amplitude|**2`` for each basis state."""
     state = np.asarray(state, dtype=complex)
@@ -230,18 +252,14 @@ class ShotCounts:
 
 
 def sample_shots(state: np.ndarray, n_shots: int, rng: np.random.Generator) -> ShotCounts:
-    """Draw ``n_shots`` independent measurements by inverse-CDF sampling.
-
-    With sixteen outcomes a cumulative-probability search needs no alias
-    table; identical generator state yields identical counts.
-    """
+    """Draw ``n_shots`` independent measurements as one multinomial count
+    vector; identical generator state yields identical counts."""
     if n_shots < 1:
         raise ValueError(f"n_shots must be at least 1, got {n_shots}")
     probs = born_probabilities(state)
-    cdf = np.cumsum(probs)
-    cdf[-1] = max(cdf[-1], 1.0)  # guard the top edge against round-off
-    outcomes = np.searchsorted(cdf, rng.random(n_shots), side="right")
-    counts = np.bincount(outcomes, minlength=probs.size)
+    # born_probabilities allows a norm error of 1e-10, numpy's multinomial
+    # rejects probabilities summing above 1 + 1e-12
+    counts = rng.multinomial(n_shots, probs / probs.sum())
     return ShotCounts(counts=counts, n_shots=n_shots)
 
 
@@ -270,29 +288,34 @@ def decode_fractions(counts, n_total: float | None = None) -> tuple[np.ndarray, 
     block = weights[:4]
     block_sum = block.sum()
     if block_sum <= 0.0:
+        what = f"no shot of {counts.n_shots}" if isinstance(counts, ShotCounts) else "no weight"
         raise InsufficientShotsError(
-            "no weight in the postselected ancilla-00 block; increase the shot count"
+            f"{what} landed in the ancilla-00 block; increase the shot count"
         )
     amplitudes = np.sqrt(block)
     return amplitudes / amplitudes.sum(), block_sum / total
 
 
+def _step_state(sigma: np.ndarray, operator: np.ndarray) -> np.ndarray:
+    sigma = validate_simplex(sigma)
+    return operator @ (sigma / np.linalg.norm(sigma))
+
+
 def quantum_step(
     sigma: np.ndarray,
-    decomposition: LcuDecomposition,
+    operator: np.ndarray,
     n_shots: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One sampled fraction update: build, run, measure, decode."""
-    state = run_statevector(build_step_circuit(sigma, decomposition))
-    counts = sample_shots(state, n_shots, rng)
+    """One sampled fraction update through the compiled step
+    (:func:`step_operator`): evolve, measure, decode."""
+    counts = sample_shots(_step_state(sigma, operator), n_shots, rng)
     fractions, _ = decode_fractions(counts)
     return fractions
 
 
-def quantum_step_exact(sigma: np.ndarray, decomposition: LcuDecomposition) -> np.ndarray:
+def quantum_step_exact(sigma: np.ndarray, operator: np.ndarray) -> np.ndarray:
     """Infinite-shot limit of :func:`quantum_step`: decode the exact Born
     probabilities instead of sampled counts."""
-    state = run_statevector(build_step_circuit(sigma, decomposition))
-    fractions, _ = decode_fractions(born_probabilities(state))
+    fractions, _ = decode_fractions(born_probabilities(_step_state(sigma, operator)))
     return fractions

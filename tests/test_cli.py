@@ -93,7 +93,9 @@ def test_starved_quantum_run_is_shot_error(capsys):
         ["run", "--mode", "quantum", "--shots", "1", "--t-end", "0.1", "--seed", "0"]
     )
     assert rc == EXIT_SHOTS
-    assert "insufficient shots" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "insufficient shots" in err
+    assert "step 1 of 1" in err and "no shot of 1 landed" in err
 
 
 def test_invalid_choice_exits_two():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smcm.core import stationary_fractions
+from smcm.core import stationary_fractions, step_generator
 from smcm.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -18,6 +18,8 @@ from smcm.experiments import (
     write_scan,
     write_timeseries,
 )
+from smcm.lcu import decompose
+from smcm.qsim import quantum_step, step_operator
 
 SHORT = dict(t_end=5.0, spinup=1.0)
 
@@ -81,6 +83,15 @@ class TestRunSimulation:
         det = run_simulation(ExperimentConfig(mode="deterministic", **SHORT))
         diff = np.abs(sampled.sigmas - det.sigmas)
         assert 0.0 < diff.max() < 0.2
+
+    def test_sampled_quantum_step_replays_from_row_and_seed(self, reference_matrix):
+        cfg = ExperimentConfig(mode="quantum", n_shots=1000, **SHORT, seed=13)
+        series = run_simulation(cfg)
+        operator = step_operator(decompose(reference_matrix))
+        for i in (0, 17, cfg.n_steps - 1):
+            rng = step_generator(cfg.seed, i)
+            replayed = quantum_step(series.sigmas[i], operator, cfg.n_shots, rng)
+            assert np.array_equal(replayed, series.sigmas[i + 1])
 
     def test_runs_reproducible_by_seed(self):
         cfg = ExperimentConfig(mode="montecarlo", n_sites=60, **SHORT, seed=7)

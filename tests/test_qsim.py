@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,6 +19,7 @@ from smcm.qsim import (
     run_statevector,
     run_with_snapshots,
     sample_shots,
+    step_operator,
     zero_state,
 )
 from conftest import random_simplex
@@ -30,9 +32,25 @@ def normalized(v):
     return v / np.linalg.norm(v)
 
 
+def chi_square_p_value(counts, probs):
+    """Goodness-of-fit p-value of ``counts`` against ``probs`` over the cells
+    expecting at least five counts, conditioned on those cells' total."""
+    keep = probs * counts.sum() >= 5
+    observed = counts[keep]
+    expected = observed.sum() * probs[keep] / probs[keep].sum()
+    statistic = float(((observed - expected) ** 2 / expected).sum())
+    df = int(keep.sum()) - 1
+    return float(mpmath.gammainc(df / 2, statistic / 2, mpmath.inf, regularized=True))
+
+
 @pytest.fixture(scope="module")
 def reference_lcu(reference_matrix):
     return decompose(reference_matrix)
+
+
+@pytest.fixture(scope="module")
+def reference_operator(reference_lcu):
+    return step_operator(reference_lcu)
 
 
 class TestGateOp:
@@ -153,6 +171,20 @@ class TestStepCircuit:
         assert np.abs(final[:4] - expected_block).max() < 1e-10
 
 
+class TestStepOperator:
+    def test_matches_gate_level_circuit(self, reference_lcu, reference_operator):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            sigma = random_simplex(rng)
+            state = run_statevector(build_step_circuit(sigma, reference_lcu))
+            assert np.abs(reference_operator @ normalized(sigma) - state).max() < 1e-14
+
+    def test_is_isometry(self, reference_operator):
+        assert reference_operator.shape == (16, 4)
+        gram = reference_operator.conj().T @ reference_operator
+        assert np.abs(gram - np.eye(4)).max() < 1e-12
+
+
 class TestBornProbabilities:
     def test_basis_state(self):
         probs = born_probabilities(zero_state())
@@ -214,6 +246,22 @@ class TestSampling:
         b = sample_shots(state, 5000, np.random.default_rng(42))
         assert np.array_equal(a.counts, b.counts)
 
+    @pytest.mark.parametrize("alpha", [None, 0.3], ids=["uniform-start", "skewed"])
+    def test_counts_follow_born_law(self, reference_operator, alpha):
+        rng = np.random.default_rng(12)
+        sigma = uniform_fractions() if alpha is None else rng.dirichlet(np.full(4, alpha))
+        state = reference_operator @ normalized(sigma)
+        counts = sample_shots(state, 200_000, rng)
+        assert chi_square_p_value(counts.counts, born_probabilities(state)) > 1e-3
+
+    def test_chi_square_rejects_swapped_outcomes(self, reference_operator):
+        state = reference_operator @ normalized(uniform_fractions())
+        probs = born_probabilities(state)
+        swapped = state.copy()
+        swapped[[0, 2]] = state[[2, 0]]  # probabilities 0.066 and 0.058
+        counts = sample_shots(swapped, 200_000, np.random.default_rng(13))
+        assert chi_square_p_value(counts.counts, probs) < 1e-6
+
     def test_counts_invariants(self):
         with pytest.raises(ValueError):
             ShotCounts(counts=np.ones(16, dtype=int), n_shots=5)
@@ -261,7 +309,7 @@ class TestQuantumStep:
     def test_exact_step_equals_deterministic(self, reference_matrix, reference_lcu):
         sigma = uniform_fractions()
         assert np.abs(
-            quantum_step_exact(sigma, reference_lcu)
+            quantum_step_exact(sigma, step_operator(reference_lcu))
             - deterministic_step(reference_matrix, sigma)
         ).max() < 1e-10
 
@@ -271,19 +319,20 @@ class TestQuantumStep:
         assert halved.scale == 1.0
         sigma = np.array([0.3, 0.3, 0.2, 0.2])
         assert np.abs(
-            quantum_step_exact(sigma, halved) - quantum_step_exact(sigma, reference_lcu)
+            quantum_step_exact(sigma, step_operator(halved))
+            - quantum_step_exact(sigma, step_operator(reference_lcu))
         ).max() < 1e-12
 
     def test_identity_dynamics_with_many_shots(self):
         dec = decompose(np.eye(4))
         sigma = np.array([0.4, 0.3, 0.2, 0.1])
-        out = quantum_step(sigma, dec, 200000, np.random.default_rng(5))
+        out = quantum_step(sigma, step_operator(dec), 200000, np.random.default_rng(5))
         assert np.abs(out - sigma).max() < 0.01
 
     def test_sampled_step_reproducible(self, reference_lcu):
         sigma = uniform_fractions()
-        a = quantum_step(sigma, reference_lcu, 1000, np.random.default_rng(9))
-        b = quantum_step(sigma, reference_lcu, 1000, np.random.default_rng(9))
+        a = quantum_step(sigma, step_operator(reference_lcu), 1000, np.random.default_rng(9))
+        b = quantum_step(sigma, step_operator(reference_lcu), 1000, np.random.default_rng(9))
         assert np.array_equal(a, b)
 
     def test_postselection_rate_near_quarter(self, reference_lcu):
