@@ -18,7 +18,7 @@ from .core import (
     uniform_fractions,
 )
 from .lcu import LcuDecomposition, decompose
-from .montecarlo import Lattice, SiteStreams, fractions, init_lattice, mc_step
+from .montecarlo import Lattice, fractions, init_lattice, mc_step, step_table, step_uniforms
 from .qsim import (
     build_step_circuit,
     decode_fractions,

@@ -6,8 +6,8 @@ fluctuation-scaling CSV; ``report`` refits scan CSVs and prints the
 exponents and the quantum/Monte-Carlo prefactor ratio. Flags may also be
 given in a ``key = value`` config file; explicit flags win.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical error,
-4 insufficient shots.
+Exit codes: 0 success, 2 configuration error (a run too large to
+allocate included), 3 numerical error, 4 insufficient shots.
 """
 
 from __future__ import annotations
@@ -212,6 +212,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: out of memory, reduce t_end or sites: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SubnormalizationError, NotPsdError, StepSizeError, DegenerateRatesError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -156,11 +156,13 @@ class ScalingResult:
 def run_simulation(cfg: ExperimentConfig) -> TimeSeries:
     """Integrate one configuration from the uniform start to ``t_end``.
 
-    The environment is constant, so rates, the one-step matrix and the
-    compiled quantum step are built once. Every step is recorded, the
-    initial state included. In a sampled quantum run, the step from row
-    ``i`` to row ``i + 1`` draws its shots from
-    ``core.step_generator(seed, i)``; errors number steps from 1.
+    The environment is constant, so rates, the one-step matrix and each
+    stochastic engine's step (the Monte Carlo interval table, the compiled
+    quantum step) are built once. Every step is recorded, the initial
+    state included. The step from row ``i`` to row ``i + 1`` draws its
+    site uniforms from ``montecarlo.step_uniforms(seed, i, n_sites)`` or
+    its shots from ``core.step_generator(seed, i)``; errors number steps
+    from 1.
     """
     rates = transition_rates(EnvParams(cfg.cape, cfg.dryness), cfg.taus)
     p = transition_matrix(rates, cfg.dt)
@@ -175,11 +177,14 @@ def run_simulation(cfg: ExperimentConfig) -> TimeSeries:
             sigma = core.deterministic_step(p, sigma)
             sigmas[i + 1] = sigma
     elif cfg.mode == "montecarlo":
-        streams = montecarlo.SiteStreams(cfg.seed)
-        lattice = montecarlo.init_lattice(cfg.n_sites, uniform_fractions(), streams.init_rng())
+        edges = montecarlo.step_table(p)
+        lattice = montecarlo.init_lattice(
+            cfg.n_sites, uniform_fractions(), montecarlo.init_rng(cfg.seed)
+        )
         sigmas[0] = montecarlo.fractions(lattice)
         for i in range(n_steps):
-            lattice = montecarlo.mc_step(lattice, p, streams)
+            uniforms = montecarlo.step_uniforms(cfg.seed, i, cfg.n_sites)
+            lattice = montecarlo.mc_step(lattice, edges, uniforms)
             sigmas[i + 1] = montecarlo.fractions(lattice)
     else:
         operator = qsim.step_operator(decompose(p))

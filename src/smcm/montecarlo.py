@@ -13,6 +13,10 @@ step index in the top counter word. A site's stream therefore depends
 only on ``(seed, t, i)`` - independent of lattice size, update order, and
 how many other sites are evolved - which makes runs reproducible and
 sites splittable for testing or parallel evaluation.
+
+The matrix is constant over a run, so a run validates it and builds the
+interval table once (:func:`step_table`); step ``t`` is then
+``mc_step(lattice, edges, step_uniforms(seed, t, n_sites))``.
 """
 
 from __future__ import annotations
@@ -26,15 +30,21 @@ from .core import N_STATES, step_generator, validate_simplex, validate_stochasti
 
 __all__ = [
     "Lattice",
-    "SiteStreams",
     "fractions",
     "init_lattice",
+    "init_rng",
     "mc_step",
+    "step_table",
     "step_uniforms",
 ]
 
 #: Counter block reserved for initialisation, far above any step index.
 _INIT_BLOCK = 1 << 62
+
+#: Row ``l``: the states a site in state ``l`` can jump to, ascending.
+_JUMP_TARGETS = np.array(
+    [[k for k in range(N_STATES) if k != l] for l in range(N_STATES)], dtype=np.int64
+)
 
 
 def step_uniforms(seed: int, step: int, n_sites: int) -> np.ndarray:
@@ -42,22 +52,10 @@ def step_uniforms(seed: int, step: int, n_sites: int) -> np.ndarray:
     return step_generator(seed, step).random(n_sites)
 
 
-@dataclass
-class SiteStreams:
-    """Stateful cursor over the per-step uniform blocks of one run."""
-
-    seed: int
-    step: int = 0
-
-    def next_uniforms(self, n_sites: int) -> np.ndarray:
-        u = step_uniforms(self.seed, self.step, n_sites)
-        self.step += 1
-        return u
-
-    def init_rng(self) -> Generator:
-        """Generator for initial-condition shuffling, on a counter block
-        disjoint from every step."""
-        return step_generator(self.seed, _INIT_BLOCK)
+def init_rng(seed: int) -> Generator:
+    """Generator for initial-condition shuffling, on a counter block
+    disjoint from every step."""
+    return step_generator(seed, _INIT_BLOCK)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,23 +96,27 @@ def init_lattice(n_sites: int, sigma0: np.ndarray, rng: Generator) -> Lattice:
     return Lattice(sites=rng.permutation(sites))
 
 
-def _advance_sites(sites: np.ndarray, p: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Advance each site through the interval partition of its column of ``p``."""
-    targets = np.array(
-        [[k for k in range(N_STATES) if k != l] for l in range(N_STATES)], dtype=np.int64
-    )
-    # edges[l, j]: cumulative probability of the first j+1 jump targets of state l
-    edges = np.cumsum(p[targets, np.arange(N_STATES)[:, None]], axis=1)
-    interval = (uniforms[:, None] >= edges[sites]).sum(axis=1)
-    jumped = targets[sites, np.minimum(interval, N_STATES - 2)]
-    return np.where(interval < N_STATES - 1, jumped, sites)
+def step_table(p: np.ndarray) -> np.ndarray:
+    """Validate ``p`` and return its ``(4, 3)`` interval table for :func:`mc_step`.
 
-
-def mc_step(lattice: Lattice, p: np.ndarray, rng: SiteStreams) -> Lattice:
-    """Advance every site one step, consuming one uniform per site."""
+    ``edges[l, j]`` is the cumulative probability of the first ``j + 1``
+    jump targets of state ``l``; the rest of the unit interval is the stay.
+    """
     p = validate_stochastic(p)
-    uniforms = rng.next_uniforms(lattice.n_sites)
-    return Lattice(sites=_advance_sites(lattice.sites, p, uniforms))
+    return np.cumsum(p[_JUMP_TARGETS, np.arange(N_STATES)[:, None]], axis=1)
+
+
+def mc_step(lattice: Lattice, edges: np.ndarray, uniforms: np.ndarray) -> Lattice:
+    """Advance every site one step: site ``i`` picks the interval of its
+    state's row of ``edges`` (:func:`step_table`) that holds ``uniforms[i]``."""
+    if uniforms.shape != (lattice.n_sites,):
+        raise ValueError(
+            f"expected {lattice.n_sites} uniforms, one per site, got shape {uniforms.shape}"
+        )
+    sites = lattice.sites
+    interval = (uniforms[:, None] >= edges[sites]).sum(axis=1)
+    jumped = _JUMP_TARGETS[sites, np.minimum(interval, N_STATES - 2)]
+    return Lattice(sites=np.where(interval < N_STATES - 1, jumped, sites))
 
 
 def fractions(lattice: Lattice) -> np.ndarray:

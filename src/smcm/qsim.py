@@ -20,10 +20,12 @@ decomposition's recorded scale.
 
 Only the initialiser depends on the fractions, so a run compiles the rest
 of the circuit once: :func:`step_operator` returns the 16x4 isometry ``W``
-with final state ``W @ sigma_hat``, and each step is one matrix-vector
+with final state ``W @ sigma_hat``, in closed form from the four
+unitaries and the ancilla Hadamards. Each step is one matrix-vector
 product and one multinomial draw of the shot counts, whatever the shot
-count. The gate-level path (:func:`build_step_circuit`,
-:func:`run_statevector`) is the oracle that ``W`` is tested against.
+count. The gate-level path (:class:`GateOp`, :func:`apply_gate`,
+:func:`run_statevector`, :func:`build_step_circuit`) is no part of a run;
+it is the independent oracle that ``W`` is tested against.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import uniform_fractions, validate_simplex
+from .core import validate_simplex
 from .lcu import LcuDecomposition
 from .linalg import unitary_completion
 
@@ -52,7 +54,6 @@ __all__ = [
     "quantum_step",
     "quantum_step_exact",
     "run_statevector",
-    "run_with_snapshots",
     "sample_shots",
     "step_operator",
     "zero_state",
@@ -165,25 +166,6 @@ def run_statevector(gates, initial: np.ndarray | None = None) -> np.ndarray:
     return state
 
 
-def run_with_snapshots(gates, after, initial: np.ndarray | None = None) -> list[np.ndarray]:
-    """Like :func:`run_statevector`, but returns the state after each gate
-    count listed in ``after`` (e.g. ``(3, 7, 9)`` for the three stages of
-    the step circuit)."""
-    gates = list(gates)
-    cuts = sorted(set(int(a) for a in after))
-    if cuts and (cuts[0] < 0 or cuts[-1] > len(gates)):
-        raise ValueError(f"snapshot positions {cuts} out of range for {len(gates)} gates")
-    state = zero_state() if initial is None else np.asarray(initial, dtype=complex).copy()
-    snapshots = []
-    done = 0
-    for cut in cuts:
-        for gate in gates[done:cut]:
-            state = apply_gate(state, gate)
-        done = cut
-        snapshots.append(state.copy())
-    return snapshots
-
-
 def build_step_circuit(sigma: np.ndarray, decomposition: LcuDecomposition) -> list[GateOp]:
     """Gate sequence for one fraction-update step.
 
@@ -216,12 +198,13 @@ def step_operator(decomposition: LcuDecomposition) -> np.ndarray:
     The initialiser only maps data ``|00>`` to ``|sigma_hat>`` and commutes
     with the ancilla Hadamards, so the circuit's final state is
     ``W @ sigma_hat``, where column ``k`` of ``W`` is the other eight gates
-    run on ``|00>|k>``, i.e. the whole circuit applied to ``|++>|k>``.
+    run on ``|00>|k>``. The opening Hadamards give every ancilla value
+    ``a`` amplitude 1/2, the controlled gates turn branch ``a`` into
+    ``U_a|k>``, and the closing Hadamards mix the branches, so ancilla
+    block ``b`` of ``W`` is ``0.5 * sum_a (H x H)[b, a] * U_a``.
     """
-    gates = build_step_circuit(uniform_fractions(), decomposition)
-    fixed = gates[:2] + gates[3:]  # all but the initialiser, gate 2
-    basis = np.eye(DIM, dtype=complex)
-    return np.stack([run_statevector(fixed, initial=basis[k]) for k in range(4)], axis=1)
+    branches = np.stack(decomposition.unitaries).reshape(4, DIM)
+    return 0.5 * (np.kron(HADAMARD, HADAMARD) @ branches).reshape(DIM, 4)
 
 
 def born_probabilities(state: np.ndarray) -> np.ndarray:
@@ -263,7 +246,7 @@ def sample_shots(state: np.ndarray, n_shots: int, rng: np.random.Generator) -> S
     return ShotCounts(counts=counts, n_shots=n_shots)
 
 
-def decode_fractions(counts, n_total: float | None = None) -> tuple[np.ndarray, float]:
+def decode_fractions(counts) -> tuple[np.ndarray, float]:
     """Recover fractions from measurement statistics.
 
     Accepts :class:`ShotCounts` or any length-16 array of non-negative
@@ -272,12 +255,9 @@ def decode_fractions(counts, n_total: float | None = None) -> tuple[np.ndarray, 
     renormalised to unit sum, are the decoded fractions. Also returns the
     postselection rate, the weight fraction that landed in that block.
     """
-    if isinstance(counts, ShotCounts):
-        weights = counts.counts.astype(float)
-        total = float(counts.n_shots)
-    else:
-        weights = np.asarray(counts, dtype=float)
-        total = float(weights.sum()) if n_total is None else float(n_total)
+    sampled = isinstance(counts, ShotCounts)
+    weights = np.asarray(counts.counts if sampled else counts, dtype=float)
+    total = weights.sum()
     if weights.shape != (DIM,):
         raise ValueError(f"expected {DIM} weights, got shape {weights.shape}")
     if (weights < 0).any() or not np.all(np.isfinite(weights)):
@@ -288,7 +268,7 @@ def decode_fractions(counts, n_total: float | None = None) -> tuple[np.ndarray, 
     block = weights[:4]
     block_sum = block.sum()
     if block_sum <= 0.0:
-        what = f"no shot of {counts.n_shots}" if isinstance(counts, ShotCounts) else "no weight"
+        what = f"no shot of {counts.n_shots}" if sampled else "no weight"
         raise InsufficientShotsError(
             f"{what} landed in the ancilla-00 block; increase the shot count"
         )

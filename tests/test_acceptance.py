@@ -22,7 +22,7 @@ from smcm.core import (
 )
 from smcm.experiments import ExperimentConfig, run_simulation, scaling_scan, shot_gap
 from smcm.lcu import decompose
-from smcm.montecarlo import SiteStreams, fractions, init_lattice, mc_step, step_uniforms
+from smcm.montecarlo import init_lattice, init_rng, mc_step, step_table, step_uniforms
 from smcm.qsim import (
     born_probabilities,
     build_step_circuit,
@@ -274,10 +274,10 @@ def test_10_property_suites(step_matrix, step_lcu):
 
     # forbidden transitions never happen on the lattice
     allowed = step_matrix > 0
-    streams = SiteStreams(seed=1010)
-    lattice = init_lattice(1000, uniform_fractions(), streams.init_rng())
-    for _ in range(100):
-        stepped = mc_step(lattice, step_matrix, streams)
+    edges = step_table(step_matrix)
+    lattice = init_lattice(1000, uniform_fractions(), init_rng(1010))
+    for t in range(100):
+        stepped = mc_step(lattice, edges, step_uniforms(1010, t, 1000))
         assert allowed[stepped.sites, lattice.sites].all()
         lattice = stepped
 

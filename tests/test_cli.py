@@ -82,6 +82,22 @@ def test_t_end_off_the_step_grid_is_config_error(capsys):
     assert "whole number of dt steps" in capsys.readouterr().err
 
 
+# Each run asks for one array larger than a 48-bit address space (2^48 bytes,
+# 256 TiB), so the allocation fails at once without touching memory.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--t-end", "1e15"],  # 1e16 steps: 8e16-byte time grid
+        ["run", "--mode", "montecarlo", "--sites", "100000000000000"],  # 8e14-byte lattice
+    ],
+    ids=["steps", "sites"],
+)
+def test_run_too_large_to_allocate_is_config_error(argv, capsys):
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
 def test_oversized_dt_is_numeric_error(capsys):
     rc = main(["run", "--dt", "10"])
     assert rc == EXIT_NUMERIC

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smcm.core import stationary_fractions, step_generator
+from smcm.core import stationary_fractions, step_generator, uniform_fractions
 from smcm.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -19,6 +19,14 @@ from smcm.experiments import (
     write_timeseries,
 )
 from smcm.lcu import decompose
+from smcm.montecarlo import (
+    fractions,
+    init_lattice,
+    init_rng,
+    mc_step,
+    step_table,
+    step_uniforms,
+)
 from smcm.qsim import quantum_step, step_operator
 
 SHORT = dict(t_end=5.0, spinup=1.0)
@@ -92,6 +100,16 @@ class TestRunSimulation:
             rng = step_generator(cfg.seed, i)
             replayed = quantum_step(series.sigmas[i], operator, cfg.n_shots, rng)
             assert np.array_equal(replayed, series.sigmas[i + 1])
+
+    def test_montecarlo_run_matches_hand_loop(self, reference_matrix):
+        cfg = ExperimentConfig(mode="montecarlo", n_sites=60, **SHORT, seed=21)
+        series = run_simulation(cfg)
+        edges = step_table(reference_matrix)
+        lattice = init_lattice(cfg.n_sites, uniform_fractions(), init_rng(cfg.seed))
+        assert np.array_equal(fractions(lattice), series.sigmas[0])
+        for i in range(cfg.n_steps):
+            lattice = mc_step(lattice, edges, step_uniforms(cfg.seed, i, cfg.n_sites))
+            assert np.array_equal(fractions(lattice), series.sigmas[i + 1])
 
     def test_runs_reproducible_by_seed(self):
         cfg = ExperimentConfig(mode="montecarlo", n_sites=60, **SHORT, seed=7)

@@ -4,11 +4,11 @@ import pytest
 from smcm.core import deterministic_step, transition_matrix, uniform_fractions
 from smcm.montecarlo import (
     Lattice,
-    SiteStreams,
-    _advance_sites,
     fractions,
     init_lattice,
+    init_rng,
     mc_step,
+    step_table,
     step_uniforms,
 )
 
@@ -26,17 +26,8 @@ class TestStreams:
         assert not np.array_equal(step_uniforms(9, 3, 50), step_uniforms(9, 4, 50))
         assert not np.array_equal(step_uniforms(9, 3, 50), step_uniforms(10, 3, 50))
 
-    def test_cursor_advances(self):
-        streams = SiteStreams(seed=5)
-        first = streams.next_uniforms(20)
-        second = streams.next_uniforms(20)
-        assert streams.step == 2
-        assert not np.array_equal(first, second)
-        assert np.array_equal(first, step_uniforms(5, 0, 20))
-
     def test_init_rng_disjoint_from_steps(self):
-        streams = SiteStreams(seed=5)
-        init_draw = streams.init_rng().random(20)
+        init_draw = init_rng(5).random(20)
         assert not np.array_equal(init_draw, step_uniforms(5, 0, 20))
 
 
@@ -90,22 +81,22 @@ class TestLattice:
 class TestMcStep:
     def test_identity_matrix_freezes_lattice(self):
         lat = Lattice(np.array([0, 1, 2, 3, 2, 1]))
-        out = mc_step(lat, np.eye(4), SiteStreams(seed=0))
+        out = mc_step(lat, step_table(np.eye(4)), step_uniforms(0, 0, lat.n_sites))
         assert np.array_equal(out.sites, lat.sites)
 
     def test_forced_transition(self):
         rates = np.zeros((4, 4))
         rates[2, 3] = 1.0
         p = transition_matrix(rates, 1.0)  # deep -> stratiform certainly
-        out = mc_step(Lattice(np.full(10, 2)), p, SiteStreams(seed=3))
+        out = mc_step(Lattice(np.full(10, 2)), step_table(p), step_uniforms(3, 0, 10))
         assert np.array_equal(out.sites, np.full(10, 3))
 
     def test_forbidden_jumps_never_happen(self, reference_matrix):
         allowed = reference_matrix > 0
-        streams = SiteStreams(seed=4)
-        lat = init_lattice(500, uniform_fractions(), streams.init_rng())
-        for _ in range(200):
-            nxt = mc_step(lat, reference_matrix, streams)
+        edges = step_table(reference_matrix)
+        lat = init_lattice(500, uniform_fractions(), init_rng(4))
+        for t in range(200):
+            nxt = mc_step(lat, edges, step_uniforms(4, t, 500))
             assert allowed[nxt.sites, lat.sites].all()
             lat = nxt
 
@@ -113,19 +104,19 @@ class TestMcStep:
         # full-lattice evolution must equal evolving each site alone on its
         # own per-site stream slice
         n, steps, seed = 64, 50, 7
-        streams = SiteStreams(seed=seed)
-        lat = init_lattice(n, uniform_fractions(), streams.init_rng())
+        edges = step_table(reference_matrix)
+        lat = init_lattice(n, uniform_fractions(), init_rng(seed))
         start = lat.sites.copy()
         trajectory = [lat.sites.copy()]
-        for _ in range(steps):
-            lat = mc_step(lat, reference_matrix, streams)
+        for t in range(steps):
+            lat = mc_step(lat, edges, step_uniforms(seed, t, n))
             trajectory.append(lat.sites.copy())
         for site in range(0, n, 7):
-            state = np.array([start[site]])
+            state = Lattice(np.array([start[site]]))
             for t in range(steps):
                 u = step_uniforms(seed, t, n)[site : site + 1]
-                state = _advance_sites(state, reference_matrix, u)
-                assert state[0] == trajectory[t + 1][site]
+                state = mc_step(state, edges, u)
+                assert state.sites[0] == trajectory[t + 1][site]
 
     def test_one_step_expectation_matches_matrix(self, reference_matrix):
         # mean over many independent one-step runs vs the exact update, with
@@ -133,9 +124,10 @@ class TestMcStep:
         n, runs = 200, 1000
         lat = init_lattice(n, uniform_fractions(), np.random.default_rng(8))
         expected = deterministic_step(reference_matrix, fractions(lat))
+        edges = step_table(reference_matrix)
         totals = np.zeros(4)
         for seed in range(runs):
-            stepped = mc_step(lat, reference_matrix, SiteStreams(seed=seed))
+            stepped = mc_step(lat, edges, step_uniforms(seed, 0, n))
             totals += fractions(stepped)
         mean = totals / runs
         prob = reference_matrix[:, lat.sites]  # (4, n): P(site -> k)
@@ -143,20 +135,34 @@ class TestMcStep:
         assert (np.abs(mean - expected) < 5 * sigma + 1e-12).all()
 
     def test_single_site_lattice_is_always_a_vertex(self, reference_matrix):
-        streams = SiteStreams(seed=11)
+        edges = step_table(reference_matrix)
         lat = Lattice(np.array([0]))
-        for _ in range(100):
-            lat = mc_step(lat, reference_matrix, streams)
+        for t in range(100):
+            lat = mc_step(lat, edges, step_uniforms(11, t, 1))
             f = fractions(lat)
             assert sorted(f.tolist()) == [0.0, 0.0, 0.0, 1.0]
 
     def test_reproducible_under_seed(self, reference_matrix):
         def run(seed):
-            streams = SiteStreams(seed=seed)
-            lat = init_lattice(100, uniform_fractions(), streams.init_rng())
-            for _ in range(50):
-                lat = mc_step(lat, reference_matrix, streams)
+            edges = step_table(reference_matrix)
+            lat = init_lattice(100, uniform_fractions(), init_rng(seed))
+            for t in range(50):
+                lat = mc_step(lat, edges, step_uniforms(seed, t, 100))
             return lat.sites
 
         assert np.array_equal(run(123), run(123))
         assert not np.array_equal(run(123), run(124))
+
+    def test_step_table_rejects_non_stochastic_matrix(self, reference_matrix):
+        with pytest.raises(ValueError, match="columns must sum to 1"):
+            step_table(0.5 * reference_matrix)
+        with pytest.raises(ValueError, match="4x4"):
+            step_table(np.eye(3))
+
+    @pytest.mark.parametrize(
+        "shape", [(5,), (7,), (6, 1), ()], ids=["short", "long", "column", "scalar"]
+    )
+    def test_mis_sized_uniforms_rejected(self, reference_matrix, shape):
+        lat = Lattice(np.array([0, 1, 2, 3, 2, 1]))
+        with pytest.raises(ValueError, match="one per site"):
+            mc_step(lat, step_table(reference_matrix), np.full(shape, 0.5))
