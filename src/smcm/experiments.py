@@ -107,10 +107,10 @@ class ExperimentConfig:
             )
         if not (math.isfinite(self.spinup) and 0 <= self.spinup < self.t_end):
             raise ConfigError(f"spinup must lie in [0, t_end), got {self.spinup!r}")
-        if self.n_sites < 1:
-            raise ConfigError(f"n_sites must be at least 1, got {self.n_sites}")
-        if self.n_shots < 0:
-            raise ConfigError(f"n_shots must be non-negative, got {self.n_shots}")
+        if not 1 <= self.n_sites < 2**63:
+            raise ConfigError(f"n_sites must lie in [1, 2**63), got {self.n_sites}")
+        if not 0 <= self.n_shots < 2**63:
+            raise ConfigError(f"n_shots must lie in [0, 2**63), got {self.n_shots}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit non-negative integer, got {self.seed}")
         try:

@@ -17,6 +17,14 @@ sites splittable for testing or parallel evaluation.
 The matrix is constant over a run, so a run validates it and builds the
 interval table once (:func:`step_table`); step ``t`` is then
 ``mc_step(lattice, edges, step_uniforms(seed, t, n_sites))``.
+
+The advance works on one flat integer code per site,
+``state * N_STATES + interval``: one comparison per column of the
+interval table adds the interval to the code, and a 16-entry table maps
+each code to the next state. Every entry of that table is a valid state,
+so a stepped lattice is in range by construction and is not re-validated;
+validation happens where sites come from outside (:class:`Lattice`,
+:func:`init_lattice`).
 """
 
 from __future__ import annotations
@@ -46,6 +54,10 @@ _JUMP_TARGETS = np.array(
     [[k for k in range(N_STATES) if k != l] for l in range(N_STATES)], dtype=np.int64
 )
 
+#: Entry ``l * N_STATES + j``: the next state of a site in state ``l`` whose
+#: uniform fell in interval ``j`` - the jump targets of ``l``, then ``l`` (the stay).
+_NEXT = np.column_stack([_JUMP_TARGETS, np.arange(N_STATES)]).ravel()
+
 
 def step_uniforms(seed: int, step: int, n_sites: int) -> np.ndarray:
     """Per-site uniforms for one step; element ``i`` is site ``i``'s draw."""
@@ -65,12 +77,21 @@ class Lattice:
     sites: np.ndarray
 
     def __post_init__(self):
-        sites = np.asarray(self.sites, dtype=np.int64)
-        object.__setattr__(self, "sites", sites)
+        sites = np.asarray(self.sites)
+        if not np.issubdtype(sites.dtype, np.integer):
+            raise ValueError(f"site states must be integer codes, got dtype {sites.dtype}")
         if sites.ndim != 1 or sites.size < 1:
             raise ValueError("lattice needs at least one site")
         if sites.min() < 0 or sites.max() >= N_STATES:
             raise ValueError(f"site states must lie in 0..{N_STATES - 1}")
+        object.__setattr__(self, "sites", sites.astype(np.int64, copy=False))
+
+    @classmethod
+    def _trusted(cls, sites: np.ndarray) -> Lattice:
+        """Wrap int64 site codes already known to lie in range, unchecked."""
+        lattice = object.__new__(cls)
+        object.__setattr__(lattice, "sites", sites)
+        return lattice
 
     @property
     def n_sites(self) -> int:
@@ -108,15 +129,22 @@ def step_table(p: np.ndarray) -> np.ndarray:
 
 def mc_step(lattice: Lattice, edges: np.ndarray, uniforms: np.ndarray) -> Lattice:
     """Advance every site one step: site ``i`` picks the interval of its
-    state's row of ``edges`` (:func:`step_table`) that holds ``uniforms[i]``."""
+    state's row of ``edges`` (:func:`step_table`) that holds ``uniforms[i]``.
+
+    The interval is the number of the row's edges at or below the uniform
+    (a draw on an edge moves to the next interval), accumulated column by
+    column into the flat code ``state * N_STATES + interval``; the code
+    indexes the next state in ``_NEXT``.
+    """
     if uniforms.shape != (lattice.n_sites,):
         raise ValueError(
             f"expected {lattice.n_sites} uniforms, one per site, got shape {uniforms.shape}"
         )
     sites = lattice.sites
-    interval = (uniforms[:, None] >= edges[sites]).sum(axis=1)
-    jumped = _JUMP_TARGETS[sites, np.minimum(interval, N_STATES - 2)]
-    return Lattice(sites=np.where(interval < N_STATES - 1, jumped, sites))
+    code = sites * N_STATES
+    for column in edges.T:
+        code += uniforms >= column.take(sites)
+    return Lattice._trusted(_NEXT.take(code))
 
 
 def fractions(lattice: Lattice) -> np.ndarray:

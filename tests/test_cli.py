@@ -98,6 +98,20 @@ def test_run_too_large_to_allocate_is_config_error(argv, capsys):
     assert err.startswith("error: out of memory") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["run", "--mode", "quantum", "--shots", str(10**20), "--t-end", "0.1"], "n_shots"),
+        (["run", "--mode", "montecarlo", "--sites", str(10**20), "--t-end", "0.1"], "n_sites"),
+    ],
+    ids=["shots", "sites"],
+)
+def test_count_beyond_int64_is_config_error(argv, field, capsys):
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must lie in") and err.count("\n") == 1
+
+
 def test_oversized_dt_is_numeric_error(capsys):
     rc = main(["run", "--dt", "10"])
     assert rc == EXIT_NUMERIC

@@ -1,8 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smcm.core import deterministic_step, transition_matrix, uniform_fractions
+from smcm.core import N_STATES, deterministic_step, transition_matrix, uniform_fractions
 from smcm.montecarlo import (
+    _JUMP_TARGETS,
     Lattice,
     fractions,
     init_lattice,
@@ -64,6 +69,12 @@ class TestLattice:
             Lattice(sites=np.array([0, 4]))
         with pytest.raises(ValueError):
             Lattice(sites=np.array([], dtype=int))
+        with pytest.raises(ValueError, match="integer codes"):
+            Lattice(sites=np.array([0.5, 2.7, 3.99]))  # never truncated to [0, 2, 3]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from a NaN cast
+            with pytest.raises(ValueError, match="integer codes"):
+                Lattice(sites=np.array([0, np.nan]))
 
     def test_fractions_examples(self):
         assert np.array_equal(fractions(Lattice(np.zeros(8, dtype=int))), [1, 0, 0, 0])
@@ -76,6 +87,29 @@ class TestLattice:
             counts = np.bincount(lat.sites, minlength=4)
             assert counts.sum() == lat.n_sites  # the exact, integer-level identity
             assert abs(fractions(lat).sum() - 1.0) <= 4 * np.finfo(float).eps
+
+
+# A column of ``p``: non-negative weights, some exactly zero so that intervals
+# collapse and edges coincide, normalised to sum to one.
+_columns = st.lists(
+    st.one_of(st.integers(0, 3).map(float), st.floats(0, 1, allow_subnormal=False)),
+    min_size=N_STATES,
+    max_size=N_STATES,
+).filter(lambda w: sum(w) > 0)
+
+
+def _oracle_step(edges, sites, uniforms):
+    """Per-site walk along the state's row of the interval table: the first
+    edge strictly above the uniform picks its jump target, else the site stays."""
+    out = []
+    for state, u in zip(sites, uniforms):
+        nxt = state
+        for target, edge in zip(_JUMP_TARGETS[state], edges[state]):
+            if u < edge:
+                nxt = target
+                break
+        out.append(nxt)
+    return out
 
 
 class TestMcStep:
@@ -166,3 +200,26 @@ class TestMcStep:
         lat = Lattice(np.array([0, 1, 2, 3, 2, 1]))
         with pytest.raises(ValueError, match="one per site"):
             mc_step(lat, step_table(reference_matrix), np.full(shape, 0.5))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(_columns, min_size=N_STATES, max_size=N_STATES),
+        st.lists(st.integers(0, N_STATES - 1), min_size=1, max_size=40),
+        st.data(),
+    )
+    def test_matches_per_site_oracle(self, columns, sites, data):
+        weights = np.array(columns).T
+        edges = step_table(weights / weights.sum(axis=0))
+        # uniforms anywhere in [0, 1), exactly on one of the site's edges, or at
+        # either end of the range a Philox draw can produce
+        uniforms = np.array([
+            data.draw(st.one_of(
+                st.floats(0, 1, exclude_max=True),
+                st.sampled_from([0.0, np.nextafter(1.0, 0.0), *edges[s][edges[s] < 1]]),
+            ))
+            for s in sites
+        ])
+        out = mc_step(Lattice(np.array(sites)), edges, uniforms).sites
+        assert np.issubdtype(out.dtype, np.integer)
+        assert ((out >= 0) & (out < N_STATES)).all()
+        assert out.tolist() == _oracle_step(edges, sites, uniforms)
