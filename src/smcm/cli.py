@@ -222,7 +222,3 @@ def main(argv=None) -> int:
     except InsufficientShotsError as exc:
         print(f"insufficient shots: {exc}", file=sys.stderr)
         return EXIT_SHOTS
-
-
-if __name__ == "__main__":
-    sys.exit(main())

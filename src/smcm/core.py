@@ -179,19 +179,19 @@ def uniform_fractions() -> np.ndarray:
     return np.full(N_STATES, 0.25)
 
 
-def validate_simplex(sigma: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
+def validate_simplex(sigma: np.ndarray) -> np.ndarray:
     """Check that ``sigma`` is a valid fraction vector and return it as float."""
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (N_STATES,):
         raise ValueError(f"expected {N_STATES} fractions, got shape {sigma.shape}")
     if not np.all(np.isfinite(sigma)) or (sigma < 0).any():
         raise ValueError(f"fractions must be finite and non-negative, got {sigma}")
-    if abs(sigma.sum() - 1.0) > tol:
-        raise ValueError(f"fractions must sum to 1 within {tol}, got sum {sigma.sum()!r}")
+    if abs(sigma.sum() - 1.0) > SIMPLEX_TOL:
+        raise ValueError(f"fractions must sum to 1 within {SIMPLEX_TOL}, got sum {sigma.sum()!r}")
     return sigma
 
 
-def validate_stochastic(p: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
+def validate_stochastic(p: np.ndarray) -> np.ndarray:
     """Check that ``p`` is column-stochastic with entries in [0, 1]."""
     p = np.asarray(p, dtype=float)
     if p.shape != (N_STATES, N_STATES):
@@ -199,8 +199,8 @@ def validate_stochastic(p: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
     if not np.all(np.isfinite(p)) or (p < 0).any() or (p > 1).any():
         raise ValueError("transition probabilities must lie in [0, 1]")
     sums = p.sum(axis=0)
-    if np.abs(sums - 1.0).max() > tol:
-        raise ValueError(f"columns must sum to 1 within {tol}, got {sums}")
+    if np.abs(sums - 1.0).max() > SIMPLEX_TOL:
+        raise ValueError(f"columns must sum to 1 within {SIMPLEX_TOL}, got {sums}")
     return p
 
 

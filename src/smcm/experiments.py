@@ -100,6 +100,8 @@ class ExperimentConfig:
         if not (math.isfinite(self.t_end) and self.t_end >= self.dt):
             raise ConfigError(f"t_end must be at least dt, got {self.t_end!r}")
         steps = self.t_end / self.dt
+        if not math.isfinite(steps):
+            raise ConfigError(f"t_end / dt overflows, got t_end={self.t_end!r}, dt={self.dt!r}")
         if not math.isclose(steps, round(steps), rel_tol=1e-9):
             raise ConfigError(
                 f"t_end must be a whole number of dt steps, got t_end={self.t_end!r}, "
@@ -156,9 +158,9 @@ class ScalingResult:
 def run_simulation(cfg: ExperimentConfig) -> TimeSeries:
     """Integrate one configuration from the uniform start to ``t_end``.
 
-    The environment is constant, so rates, the one-step matrix and each
-    stochastic engine's step (the Monte Carlo interval table, the compiled
-    quantum step) are built once. Every step is recorded, the initial
+    The environment is constant, so rates, the one-step matrix, its check
+    and each stochastic engine's step (the Monte Carlo interval table, the
+    compiled quantum step) are built once. Every step is recorded, the initial
     state included. The step from row ``i`` to row ``i + 1`` draws its
     site uniforms from ``montecarlo.step_uniforms(seed, i, n_sites)`` or
     its shots from ``core.step_generator(seed, i)``; errors number steps
@@ -171,10 +173,11 @@ def run_simulation(cfg: ExperimentConfig) -> TimeSeries:
     sigmas = np.empty((n_steps + 1, 4))
 
     if cfg.mode == "deterministic":
+        core.validate_stochastic(p)
         sigma = uniform_fractions()
         sigmas[0] = sigma
         for i in range(n_steps):
-            sigma = core.deterministic_step(p, sigma)
+            sigma = p @ sigma
             sigmas[i + 1] = sigma
     elif cfg.mode == "montecarlo":
         edges = montecarlo.step_table(p)
@@ -261,19 +264,17 @@ def scaling_scan(cfg: ExperimentConfig, values, repeats: int) -> ScalingResult:
     if repeats < 3:
         raise ConfigError(f"need at least 3 repeats per value, got {repeats}")
 
-    det = run_simulation(dataclasses.replace(cfg, mode="deterministic"))
     field = "n_sites" if cfg.mode == "montecarlo" else "n_shots"
-    means = np.empty(len(values))
-    stds = np.empty(len(values))
-    for i, value in enumerate(values):
-        rms = np.empty(repeats)
-        for r in range(repeats):
-            run_cfg = dataclasses.replace(
-                cfg, **{field: value}, seed=_run_seed(cfg.seed, i, r)
-            )
-            rms[r] = fluctuation_rms(run_simulation(run_cfg), det, cfg.spinup)
-        means[i] = rms.mean()
-        stds[i] = rms.std(ddof=1)
+    run_cfgs = [  # built first, so a bad value fails before any run starts
+        [dataclasses.replace(cfg, **{field: value}, seed=_run_seed(cfg.seed, i, r))
+         for r in range(repeats)]
+        for i, value in enumerate(values)
+    ]
+    det = run_simulation(dataclasses.replace(cfg, mode="deterministic"))
+    rms = np.array(
+        [[fluctuation_rms(run_simulation(c), det, cfg.spinup) for c in row] for row in run_cfgs]
+    )
+    means, stds = rms.mean(axis=1), rms.std(axis=1, ddof=1)
     exponent, prefactor = fit_power_law(values, means)
     return ScalingResult(
         x=np.array(values, dtype=float),

@@ -124,19 +124,19 @@ def build_unitaries(
     return u1, u2, u3.astype(complex), u4.astype(complex)
 
 
-def decompose(matrix: np.ndarray, max_norm: float = MAX_ENCODABLE_NORM) -> LcuDecomposition:
+def decompose(matrix: np.ndarray) -> LcuDecomposition:
     """Decompose a one-step matrix into four unitaries plus a recorded scale.
 
-    The spectral norm is measured; values above ``max_norm`` are rejected
-    with advice to shrink the time step, values in ``(1, max_norm]`` are
-    renormalised into the recorded ``scale``, and genuinely contractive
-    input is encoded as-is with ``scale = 1``.
+    The spectral norm is measured; values above :data:`MAX_ENCODABLE_NORM`
+    are rejected with advice to shrink the time step, values in ``(1,
+    MAX_ENCODABLE_NORM]`` are renormalised into the recorded ``scale``, and
+    genuinely contractive input is encoded as-is with ``scale = 1``.
     """
     matrix = np.asarray(matrix, dtype=float)
     norm = spectral_norm(matrix)
-    if norm > max_norm:
+    if norm > MAX_ENCODABLE_NORM:
         raise SubnormalizationError(
-            f"spectral norm {norm:.6f} exceeds the encodable ceiling {max_norm}; "
+            f"spectral norm {norm:.6f} exceeds the encodable ceiling {MAX_ENCODABLE_NORM}; "
             "reduce the step size"
         )
     scale = norm * (1.0 + _SCALE_MARGIN) if norm > 1.0 else 1.0

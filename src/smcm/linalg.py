@@ -17,12 +17,15 @@ __all__ = [
     "unitary_completion",
 ]
 
+_TOL = 1e-12  # on symmetry (relative to the largest entry) and on unit length
+_PSD_CLAMP = 1e-10
+
 
 class NotPsdError(ValueError):
     """An eigenvalue fell below the round-off clamp for a PSD operand."""
 
 
-def _check_symmetric(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _check_symmetric(matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=float)
     n, m = matrix.shape
     if n != m:
@@ -30,20 +33,20 @@ def _check_symmetric(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix entries must be finite")
     scale = max(1.0, np.abs(matrix).max())
-    if np.abs(matrix - matrix.T).max() > tol * scale:
+    if np.abs(matrix - matrix.T).max() > _TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     return matrix
 
 
-def sqrt_psd(matrix: np.ndarray, clamp: float = 1e-10) -> np.ndarray:
+def sqrt_psd(matrix: np.ndarray) -> np.ndarray:
     """Principal square root of a symmetric PSD matrix.
 
-    Eigenvalues in ``[-clamp, 0)`` are treated as round-off and clamped
-    to zero; anything below ``-clamp`` aborts, since fabricating a root
+    Eigenvalues in ``[-1e-10, 0)`` are treated as round-off and clamped
+    to zero; anything below ``-1e-10`` aborts, since fabricating a root
     there would silently hide a non-contractive operand upstream.
     """
     w, v = np.linalg.eigh(_check_symmetric(matrix))
-    if w.min() < -clamp:
+    if w.min() < -_PSD_CLAMP:
         raise NotPsdError(f"matrix is not PSD within tolerance: min eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)
     root = (v * np.sqrt(w)) @ v.T
@@ -58,7 +61,7 @@ def spectral_norm(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(matrix, 2))
 
 
-def unitary_completion(vector: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def unitary_completion(vector: np.ndarray) -> np.ndarray:
     """Real orthogonal matrix whose first column is the given unit vector.
 
     Built as the Householder reflection through ``e0 - v``, which maps
@@ -70,8 +73,8 @@ def unitary_completion(vector: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got shape {v.shape}")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"vector must have unit length within {tol}, got norm {norm!r}")
+    if abs(norm - 1.0) > _TOL:
+        raise ValueError(f"vector must have unit length within {_TOL}, got norm {norm!r}")
     n = v.shape[0]
     w = -v.copy()
     w[0] += 1.0  # w = e0 - v

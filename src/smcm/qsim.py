@@ -23,9 +23,11 @@ of the circuit once: :func:`step_operator` returns the 16x4 isometry ``W``
 with final state ``W @ sigma_hat``, in closed form from the four
 unitaries and the ancilla Hadamards. Each step is one matrix-vector
 product and one multinomial draw of the shot counts, whatever the shot
-count. The gate-level path (:class:`GateOp`, :func:`apply_gate`,
-:func:`run_statevector`, :func:`build_step_circuit`) is no part of a run;
-it is the independent oracle that ``W`` is tested against.
+count; the counts are a plain int64 array, checked once, by
+:func:`decode_fractions`. The gate-level path (:class:`GateOp`,
+:func:`apply_gate`, :func:`run_statevector`, :func:`build_step_circuit`)
+is no part of a run; it is the independent oracle that ``W`` is tested
+against.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ __all__ = [
     "HADAMARD",
     "InsufficientShotsError",
     "N_QUBITS",
-    "ShotCounts",
     "apply_gate",
     "born_probabilities",
     "build_step_circuit",
@@ -114,8 +115,8 @@ class GateOp:
             raise ValueError(f"gate matrix is not unitary (residual {residual:.3e})")
 
 
-def zero_state(n_qubits: int = N_QUBITS) -> np.ndarray:
-    state = np.zeros(1 << n_qubits, dtype=complex)
+def zero_state() -> np.ndarray:
+    state = np.zeros(DIM, dtype=complex)
     state[0] = 1.0
     return state
 
@@ -158,9 +159,9 @@ def apply_gate(state: np.ndarray, gate: GateOp) -> np.ndarray:
     return out
 
 
-def run_statevector(gates, initial: np.ndarray | None = None) -> np.ndarray:
-    """Evolve ``|0...0>`` (or ``initial``) through the gate sequence."""
-    state = zero_state() if initial is None else np.asarray(initial, dtype=complex).copy()
+def run_statevector(gates) -> np.ndarray:
+    """Evolve ``|0000>`` through the gate sequence."""
+    state = zero_state()
     for gate in gates:
         state = apply_gate(state, gate)
     return state
@@ -216,47 +217,30 @@ def born_probabilities(state: np.ndarray) -> np.ndarray:
     return np.abs(state) ** 2
 
 
-@dataclass(frozen=True, eq=False)
-class ShotCounts:
-    """Per-basis-state measurement tallies from one batch of shots."""
-
-    counts: np.ndarray
-    n_shots: int
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        object.__setattr__(self, "counts", counts)
-        if (counts < 0).any():
-            raise ValueError("counts must be non-negative")
-        if counts.sum() != self.n_shots:
-            raise ValueError(
-                f"counts sum to {counts.sum()} but n_shots is {self.n_shots}"
-            )
-
-
-def sample_shots(state: np.ndarray, n_shots: int, rng: np.random.Generator) -> ShotCounts:
+def sample_shots(state: np.ndarray, n_shots: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n_shots`` independent measurements as one multinomial count
-    vector; identical generator state yields identical counts."""
+    vector: int64, one entry per basis state, non-negative and summing to
+    ``n_shots`` by construction. Identical generator state yields identical
+    counts."""
     if n_shots < 1:
         raise ValueError(f"n_shots must be at least 1, got {n_shots}")
     probs = born_probabilities(state)
     # born_probabilities allows a norm error of 1e-10, numpy's multinomial
     # rejects probabilities summing above 1 + 1e-12
-    counts = rng.multinomial(n_shots, probs / probs.sum())
-    return ShotCounts(counts=counts, n_shots=n_shots)
+    return rng.multinomial(n_shots, probs / probs.sum())
 
 
-def decode_fractions(counts) -> tuple[np.ndarray, float]:
+def decode_fractions(weights: np.ndarray) -> tuple[np.ndarray, float]:
     """Recover fractions from measurement statistics.
 
-    Accepts :class:`ShotCounts` or any length-16 array of non-negative
-    weights (e.g. exact Born probabilities for the infinite-shot limit).
-    Only the ancilla-00 block (indices 0-3) is used: its square roots,
-    renormalised to unit sum, are the decoded fractions. Also returns the
-    postselection rate, the weight fraction that landed in that block.
+    ``weights`` is a length-16 array of non-negative weights: the shot
+    counts of :func:`sample_shots`, or the exact Born probabilities for the
+    infinite-shot limit. Only the ancilla-00 block (indices 0-3) is used:
+    its square roots, renormalised to unit sum, are the decoded fractions.
+    Also returns the postselection rate, the weight fraction that landed in
+    that block. These checks are the only guard on sampled counts.
     """
-    sampled = isinstance(counts, ShotCounts)
-    weights = np.asarray(counts.counts if sampled else counts, dtype=float)
+    weights = np.asarray(weights)
     total = weights.sum()
     if weights.shape != (DIM,):
         raise ValueError(f"expected {DIM} weights, got shape {weights.shape}")
@@ -268,9 +252,9 @@ def decode_fractions(counts) -> tuple[np.ndarray, float]:
     block = weights[:4]
     block_sum = block.sum()
     if block_sum <= 0.0:
-        what = f"no shot of {counts.n_shots}" if sampled else "no weight"
+        # integer counts keep an integer total, so the shot count prints exactly
         raise InsufficientShotsError(
-            f"{what} landed in the ancilla-00 block; increase the shot count"
+            f"no shot of {total} landed in the ancilla-00 block; increase the shot count"
         )
     amplitudes = np.sqrt(block)
     return amplitudes / amplitudes.sum(), block_sum / total

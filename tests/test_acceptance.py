@@ -288,7 +288,7 @@ def test_10_property_suites(step_matrix, step_lcu):
     for seed in range(100):
         a = sample_shots(state, 2000, np.random.default_rng(seed))
         b = sample_shots(state, 2000, np.random.default_rng(seed))
-        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a, b)
     cfg = ExperimentConfig(mode="montecarlo", n_sites=64, t_end=5.0, spinup=1.0, seed=7)
     assert np.array_equal(run_simulation(cfg).sigmas, run_simulation(cfg).sigmas)
 

@@ -112,6 +112,17 @@ def test_count_beyond_int64_is_config_error(argv, field, capsys):
     assert err.startswith(f"error: {field} must lie in") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--dt", "1e-300", "--t-end", "1e300"], ["run", "--dt", "1e-320", "--t-end", "1"]],
+    ids=["huge-t-end", "subnormal-dt"],
+)
+def test_overflowing_step_count_is_config_error(argv, capsys):
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: t_end / dt overflows") and err.count("\n") == 1
+
+
 def test_oversized_dt_is_numeric_error(capsys):
     rc = main(["run", "--dt", "10"])
     assert rc == EXIT_NUMERIC

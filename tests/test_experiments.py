@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from smcm.core import stationary_fractions, step_generator, uniform_fractions
+from smcm import experiments
+from smcm.core import deterministic_step, stationary_fractions, step_generator, uniform_fractions
 from smcm.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -51,6 +52,8 @@ class TestConfig:
             dict(cape=-1.0),
             dict(t_end=1.05, spinup=0.2),
             dict(t_end=1.0, dt=0.3, spinup=0.2),
+            dict(t_end=1e300, dt=1e-300),
+            dict(t_end=1.0, dt=1e-320, spinup=0.2),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -100,6 +103,14 @@ class TestRunSimulation:
             rng = step_generator(cfg.seed, i)
             replayed = quantum_step(series.sigmas[i], operator, cfg.n_shots, rng)
             assert np.array_equal(replayed, series.sigmas[i + 1])
+
+    def test_deterministic_run_matches_hand_loop(self, reference_matrix):
+        series = run_simulation(ExperimentConfig(**SHORT))
+        sigma = uniform_fractions()
+        assert np.array_equal(series.sigmas[0], sigma)
+        for row in series.sigmas[1:]:
+            sigma = deterministic_step(reference_matrix, sigma)
+            assert np.array_equal(row, sigma)
 
     def test_montecarlo_run_matches_hand_loop(self, reference_matrix):
         cfg = ExperimentConfig(mode="montecarlo", n_sites=60, **SHORT, seed=21)
@@ -181,6 +192,14 @@ class TestScalingScan:
             scaling_scan(cfg, [10, 20, 40], 3)  # too narrow a span
         with pytest.raises(ConfigError):
             scaling_scan(cfg, [10, 100, 1000], 2)
+
+    def test_bad_last_value_fails_before_any_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "run_simulation", calls.append)
+        cfg = ExperimentConfig(mode="quantum", **SHORT)
+        with pytest.raises(ConfigError, match="n_shots"):
+            scaling_scan(cfg, [10_000, 100_000, 10**20], 3)
+        assert calls == []
 
     def test_small_montecarlo_scan(self):
         cfg = ExperimentConfig(mode="montecarlo", t_end=10.0, spinup=2.0, seed=42)

@@ -9,7 +9,6 @@ from smcm.qsim import (
     GateOp,
     HADAMARD,
     InsufficientShotsError,
-    ShotCounts,
     apply_gate,
     born_probabilities,
     build_step_circuit,
@@ -227,7 +226,7 @@ class TestBornProbabilities:
 class TestSampling:
     def test_deterministic_state(self):
         counts = sample_shots(zero_state(), 1000, np.random.default_rng(0))
-        assert counts.counts[0] == 1000 and counts.n_shots == 1000
+        assert counts[0] == 1000 and counts[1:].sum() == 0
 
     def test_uniform_state_within_binomial_bounds(self):
         state = np.full(16, 0.25, dtype=complex)
@@ -235,13 +234,13 @@ class TestSampling:
         counts = sample_shots(state, n, np.random.default_rng(1))
         p = 1 / 16
         bound = 5 * np.sqrt(n * p * (1 - p))
-        assert np.abs(counts.counts - n * p).max() < bound
+        assert np.abs(counts - n * p).max() < bound
 
     def test_seed_reproducibility(self):
         state = run_statevector([GateOp(HADAMARD, (0,)), GateOp(HADAMARD, (2,))])
         a = sample_shots(state, 5000, np.random.default_rng(42))
         b = sample_shots(state, 5000, np.random.default_rng(42))
-        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("alpha", [None, 0.3], ids=["uniform-start", "skewed"])
     def test_counts_follow_born_law(self, reference_operator, alpha):
@@ -249,7 +248,7 @@ class TestSampling:
         sigma = uniform_fractions() if alpha is None else rng.dirichlet(np.full(4, alpha))
         state = reference_operator @ normalized(sigma)
         counts = sample_shots(state, 200_000, rng)
-        assert chi_square_p_value(counts.counts, born_probabilities(state)) > 1e-3
+        assert chi_square_p_value(counts, born_probabilities(state)) > 1e-3
 
     def test_chi_square_rejects_swapped_outcomes(self, reference_operator):
         state = reference_operator @ normalized(uniform_fractions())
@@ -257,11 +256,16 @@ class TestSampling:
         swapped = state.copy()
         swapped[[0, 2]] = state[[2, 0]]  # probabilities 0.066 and 0.058
         counts = sample_shots(swapped, 200_000, np.random.default_rng(13))
-        assert chi_square_p_value(counts.counts, probs) < 1e-6
+        assert chi_square_p_value(counts, probs) < 1e-6
+
+    @pytest.mark.parametrize("n_shots", [1, 7, 40_000, 10**15])
+    def test_counts_are_int64_summing_to_shots(self, reference_operator, n_shots):
+        state = reference_operator @ normalized(uniform_fractions())
+        counts = sample_shots(state, n_shots, np.random.default_rng(5))
+        assert counts.dtype == np.int64 and counts.shape == (16,)
+        assert (counts >= 0).all() and counts.sum() == n_shots
 
     def test_counts_invariants(self):
-        with pytest.raises(ValueError):
-            ShotCounts(counts=np.ones(16, dtype=int), n_shots=5)
         with pytest.raises(ValueError):
             sample_shots(zero_state(), 0, np.random.default_rng(0))
 
@@ -270,7 +274,7 @@ class TestDecode:
     def test_equal_counts(self):
         counts = np.zeros(16, dtype=int)
         counts[:4] = 100
-        sigma, rate = decode_fractions(ShotCounts(counts=counts, n_shots=400))
+        sigma, rate = decode_fractions(counts)
         assert np.array_equal(sigma, np.full(4, 0.25))
         assert rate == 1.0
 
@@ -279,15 +283,33 @@ class TestDecode:
         counts[0], counts[1] = 400, 100
         counts[4:] = np.repeat(500 // 12, 12)
         counts[15] += 500 - counts[4:].sum()
-        sigma, rate = decode_fractions(ShotCounts(counts=counts, n_shots=1000))
+        sigma, rate = decode_fractions(counts)
         assert np.abs(sigma - [2 / 3, 1 / 3, 0, 0]).max() < 1e-15
         assert rate == 0.5
 
     def test_empty_block_raises(self):
-        counts = np.zeros(16, dtype=int)
-        counts[5] = 10
-        with pytest.raises(InsufficientShotsError):
-            decode_fractions(ShotCounts(counts=counts, n_shots=10))
+        for n_shots in (10, 10**6):  # the count prints as an integer, never as 1e+06
+            counts = np.zeros(16, dtype=int)
+            counts[5] = n_shots
+            with pytest.raises(InsufficientShotsError, match=f"no shot of {n_shots} landed"):
+                decode_fractions(counts)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            np.ones(15),
+            np.ones((4, 4)),
+            np.r_[np.ones(15), -1.0],
+            np.r_[np.ones(15), np.nan],
+            np.r_[np.ones(15), np.inf],
+            np.zeros(16),
+            np.zeros(16, dtype=np.int64),
+        ],
+        ids=["short", "matrix", "negative", "nan", "inf", "all-zero", "all-zero-counts"],
+    )
+    def test_invalid_weights_rejected(self, weights):
+        with pytest.raises(ValueError):
+            decode_fractions(weights)
 
     def test_exact_probabilities_reproduce_deterministic_step(
         self, reference_matrix, reference_lcu
