@@ -7,12 +7,14 @@ exponents and the quantum/Monte-Carlo prefactor ratio. Flags may also be
 given in a ``key = value`` config file; explicit flags win.
 
 Exit codes: 0 success, 2 configuration error (a run too large to
-allocate included), 3 numerical error, 4 insufficient shots.
+allocate included), 3 numerical error, 4 insufficient shots, 141 standard
+output closed early (as a process ended by SIGPIPE reports it, 128 + 13).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .core import DegenerateRatesError, StepSizeError
@@ -37,6 +39,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_SHOTS = 4
+EXIT_BROKEN_PIPE = 141
 
 DEFAULT_SCAN_VALUES = "100,400,1600,6400"
 DEFAULT_REPEATS = 5
@@ -209,12 +212,21 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"run": _cmd_run, "scan": _cmd_scan, "report": _cmd_report}
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`smcm run | head`); point stdout at devnull
+        # so the interpreter's shutdown flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:
-        print(f"error: out of memory, reduce t_end or sites: {exc}", file=sys.stderr)
+        print(f"error: out of memory, reduce t_end: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SubnormalizationError, NotPsdError, StepSizeError, DegenerateRatesError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -159,12 +159,12 @@ def run_simulation(cfg: ExperimentConfig) -> TimeSeries:
     """Integrate one configuration from the uniform start to ``t_end``.
 
     The environment is constant, so rates, the one-step matrix, its check
-    and each stochastic engine's step (the Monte Carlo interval table, the
-    compiled quantum step) are built once. Every step is recorded, the initial
-    state included. The step from row ``i`` to row ``i + 1`` draws its
-    site uniforms from ``montecarlo.step_uniforms(seed, i, n_sites)`` or
-    its shots from ``core.step_generator(seed, i)``; errors number steps
-    from 1.
+    and the compiled quantum step are built once. Every step is recorded,
+    the initial state included. The Monte Carlo engine steps the four state
+    counts (:func:`montecarlo.count_step`), starting from their exact
+    largest-remainder apportionment. The step from row ``i`` to row
+    ``i + 1`` draws its Monte Carlo counts or its shots from
+    ``core.step_generator(seed, i)``; errors number steps from 1.
     """
     rates = transition_rates(EnvParams(cfg.cape, cfg.dryness), cfg.taus)
     p = transition_matrix(rates, cfg.dt)
@@ -180,15 +180,12 @@ def run_simulation(cfg: ExperimentConfig) -> TimeSeries:
             sigma = p @ sigma
             sigmas[i + 1] = sigma
     elif cfg.mode == "montecarlo":
-        edges = montecarlo.step_table(p)
-        lattice = montecarlo.init_lattice(
-            cfg.n_sites, uniform_fractions(), montecarlo.init_rng(cfg.seed)
-        )
-        sigmas[0] = montecarlo.fractions(lattice)
+        core.validate_stochastic(p)
+        counts = montecarlo.init_counts(cfg.n_sites, uniform_fractions())
+        sigmas[0] = counts / cfg.n_sites
         for i in range(n_steps):
-            uniforms = montecarlo.step_uniforms(cfg.seed, i, cfg.n_sites)
-            lattice = montecarlo.mc_step(lattice, edges, uniforms)
-            sigmas[i + 1] = montecarlo.fractions(lattice)
+            counts = montecarlo.count_step(counts, p, core.step_generator(cfg.seed, i))
+            sigmas[i + 1] = counts / cfg.n_sites
     else:
         operator = qsim.step_operator(decompose(p))
         sigma = uniform_fractions()

@@ -1,34 +1,39 @@
-"""Lattice Monte Carlo for independent-site cloud transitions.
+"""Monte Carlo for independent-site cloud transitions.
 
-Each site draws one uniform per step and walks the cumulative transition
+Sites are independent and a run records only the per-state fractions, so
+the four state counts are themselves an exact Markov chain: the
+``counts[l]`` sites in state ``l`` spread over the states as one draw of
+``Multinomial(counts[l], p[:, l])``, and the next counts are the sum of the
+four draws. A run steps the counts (:func:`count_step`) with one
+multinomial per step from ``core.step_generator(seed, t)``, so a step costs
+the same at any lattice size up to ``2**63 - 1`` sites and no site array is
+ever built. The start is the largest-remainder apportionment of the initial
+fractions (:func:`init_counts`), computed exactly. This is multinomial
+leaping with no leap error, since ``dt`` is the model's own step. If a
+model couples neighbouring sites, the count law no longer holds and the
+per-site engine below is needed again.
+
+The per-site engine runs in tests only, as the oracle for the count chain,
+as the gate-level circuit does for the compiled quantum step. Each site
+draws one uniform per step and walks the cumulative transition
 probabilities of its current state: the unit interval is partitioned
 into the jump probabilities (target states in ascending order) followed
-by the stay remainder, and the draw picks the interval. This consumes a
-single uniform per site per step and realises exactly the one-step
-transition law.
-
-Randomness is counter-based: the uniform consumed by site ``i`` at step
-``t`` is position ``i`` of a Philox stream keyed by the run seed with the
-step index in the top counter word. A site's stream therefore depends
-only on ``(seed, t, i)`` - independent of lattice size, update order, and
-how many other sites are evolved - which makes runs reproducible and
-sites splittable for testing or parallel evaluation.
-
-The matrix is constant over a run, so a run validates it and builds the
-interval table once (:func:`step_table`); step ``t`` is then
-``mc_step(lattice, edges, step_uniforms(seed, t, n_sites))``.
-
-The advance works on one flat integer code per site,
-``state * N_STATES + interval``: one comparison per column of the
-interval table adds the interval to the code, and a 16-entry table maps
-each code to the next state. Every entry of that table is a valid state,
-so a stepped lattice is in range by construction and is not re-validated;
-validation happens where sites come from outside (:class:`Lattice`,
-:func:`init_lattice`).
+by the stay remainder, and the draw picks the interval. The uniform of
+site ``i`` at step ``t`` is position ``i`` of a Philox stream keyed by the
+seed with ``t`` in the top counter word (:func:`step_uniforms`), so it
+depends only on ``(seed, t, i)``. :func:`step_table` validates the matrix
+and builds the interval table once; :func:`mc_step` then advances every
+site through one flat integer code per site, ``state * N_STATES +
+interval``: one comparison per column of the interval table adds the
+interval to the code, and a 16-entry table maps each code to the next
+state. Every entry of that table is a valid state, so a stepped lattice is
+in range by construction and is not re-validated; validation happens where
+sites come from outside (:class:`Lattice`, :func:`init_lattice`).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +43,9 @@ from .core import N_STATES, step_generator, validate_simplex, validate_stochasti
 
 __all__ = [
     "Lattice",
+    "count_step",
     "fractions",
+    "init_counts",
     "init_lattice",
     "init_rng",
     "mc_step",
@@ -98,22 +105,47 @@ class Lattice:
         return self.sites.size
 
 
-def init_lattice(n_sites: int, sigma0: np.ndarray, rng: Generator) -> Lattice:
-    """Populate sites to match target fractions as closely as integers allow.
+def init_counts(n_sites: int, sigma0: np.ndarray) -> np.ndarray:
+    """State counts of ``n_sites`` sites matching ``sigma0`` as closely as
+    integers allow.
 
     Counts are apportioned by largest remainder (ties broken by state
-    order) and then shuffled, so the initial empirical fractions carry no
+    order) in exact integer arithmetic, against ``sigma0`` normalised by
+    its exact sum. So at any size below ``2**63`` the counts sum to
+    ``n_sites`` and each lies within 1 of its target: the start carries no
     sampling noise beyond unavoidable rounding.
     """
+    n_sites = operator.index(n_sites)
     if n_sites < 1:
         raise ValueError(f"n_sites must be at least 1, got {n_sites}")
-    sigma0 = validate_simplex(sigma0)
-    target = n_sites * sigma0
-    counts = np.floor(target).astype(np.int64)
-    shortfall = n_sites - counts.sum()
-    by_remainder = np.argsort(-(target - counts), kind="stable")
-    counts[by_remainder[:shortfall]] += 1
-    sites = np.repeat(np.arange(N_STATES), counts)
+    ratios = [w.as_integer_ratio() for w in validate_simplex(sigma0).tolist()]
+    # float denominators are powers of two, so the largest is a common one
+    common = max(den for _, den in ratios)
+    weights = [num * (common // den) for num, den in ratios]
+    total = sum(weights)
+    # state k's target is n_sites * weights[k] / total: its floor and remainder
+    floors, remainders = zip(*(divmod(n_sites * w, total) for w in weights))
+    counts = list(floors)
+    by_remainder = sorted(range(N_STATES), key=lambda k: -remainders[k])
+    for k in by_remainder[: n_sites - sum(counts)]:
+        counts[k] += 1
+    return np.array(counts, dtype=np.int64)
+
+
+def count_step(counts: np.ndarray, p: np.ndarray, rng: Generator) -> np.ndarray:
+    """Advance the state counts one step: the ``counts[l]`` sites in state
+    ``l`` spread over the states as ``Multinomial(counts[l], p[:, l])``.
+
+    ``p`` must already be validated as column-stochastic (a run checks it
+    once with ``core.validate_stochastic``); the next counts keep the
+    total.
+    """
+    return rng.multinomial(counts, p.T).sum(axis=0)
+
+
+def init_lattice(n_sites: int, sigma0: np.ndarray, rng: Generator) -> Lattice:
+    """Sites whose state counts are :func:`init_counts`, in shuffled order."""
+    sites = np.repeat(np.arange(N_STATES), init_counts(n_sites, sigma0))
     return Lattice(sites=rng.permutation(sites))
 
 

@@ -1,8 +1,8 @@
 """Acceptance suite: the headline behaviours, each printed as PASS/FAIL.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see one line per
-criterion. The module takes about 2.5 s on a 2-core AMD EPYC: 1.5 s for
-the lattice-size sweep, 0.4 s for the shot-count sweep.
+criterion. The module takes about 4.2 s on a 2-core Intel Xeon: 0.8 s for
+the lattice-size sweep, 1.2 s for the shot-count sweep.
 """
 
 import math

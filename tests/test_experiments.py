@@ -20,14 +20,7 @@ from smcm.experiments import (
     write_timeseries,
 )
 from smcm.lcu import decompose
-from smcm.montecarlo import (
-    fractions,
-    init_lattice,
-    init_rng,
-    mc_step,
-    step_table,
-    step_uniforms,
-)
+from smcm.montecarlo import fractions, init_lattice, init_rng
 from smcm.qsim import quantum_step, step_operator
 
 SHORT = dict(t_end=5.0, spinup=1.0)
@@ -113,14 +106,17 @@ class TestRunSimulation:
             assert np.array_equal(row, sigma)
 
     def test_montecarlo_run_matches_hand_loop(self, reference_matrix):
+        # step i: the sites in each source state, in state order, spread over
+        # the states as one multinomial each from the step's generator
         cfg = ExperimentConfig(mode="montecarlo", n_sites=60, **SHORT, seed=21)
         series = run_simulation(cfg)
-        edges = step_table(reference_matrix)
         lattice = init_lattice(cfg.n_sites, uniform_fractions(), init_rng(cfg.seed))
         assert np.array_equal(fractions(lattice), series.sigmas[0])
+        counts = np.bincount(lattice.sites, minlength=4)
         for i in range(cfg.n_steps):
-            lattice = mc_step(lattice, edges, step_uniforms(cfg.seed, i, cfg.n_sites))
-            assert np.array_equal(fractions(lattice), series.sigmas[i + 1])
+            rng = step_generator(cfg.seed, i)
+            counts = sum(rng.multinomial(counts[l], reference_matrix[:, l]) for l in range(4))
+            assert np.array_equal(counts / cfg.n_sites, series.sigmas[i + 1])
 
     def test_runs_reproducible_by_seed(self):
         cfg = ExperimentConfig(mode="montecarlo", n_sites=60, **SHORT, seed=7)

@@ -1,5 +1,7 @@
 import warnings
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,16 @@ from smcm.core import N_STATES, deterministic_step, transition_matrix, uniform_f
 from smcm.montecarlo import (
     _JUMP_TARGETS,
     Lattice,
+    count_step,
     fractions,
+    init_counts,
     init_lattice,
     init_rng,
     mc_step,
     step_table,
     step_uniforms,
 )
+from conftest import random_column_stochastic
 
 
 class TestStreams:
@@ -61,6 +66,117 @@ class TestInitLattice:
             init_lattice(0, uniform_fractions(), np.random.default_rng(0))
         with pytest.raises(ValueError):
             init_lattice(10, np.array([0.5, 0.5, 0.5, 0.5]), np.random.default_rng(0))
+
+
+class TestInitCounts:
+    @pytest.mark.parametrize("n", [1, 3, 2**53 + 1, 2**63 - 1])
+    @pytest.mark.parametrize("sigma", [(0.25,) * 4, (0.1, 0.2, 0.3, 0.4)], ids=["uniform", "ramp"])
+    def test_exact_total_and_within_one_of_target(self, n, sigma):
+        counts = init_counts(n, np.array(sigma))
+        assert counts.dtype == np.int64
+        assert sum(int(c) for c in counts) == n
+        weights = [Fraction(w) for w in sigma]  # the exact values of the floats
+        for count, w in zip(counts.tolist(), weights):
+            assert abs(count - n * w / sum(weights)) < 1
+
+    def test_uniform_start_is_largest_remainder_in_state_order(self):
+        # the run path starts here: ``n // 4`` each, the first ``n % 4`` states one more
+        for n in range(1, 2000):
+            q, r = divmod(n, N_STATES)
+            expected = [q + (k < r) for k in range(N_STATES)]
+            assert init_counts(n, uniform_fractions()).tolist() == expected
+
+    def test_invalid_inputs(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            init_counts(0, uniform_fractions())
+        with pytest.raises(TypeError):
+            init_counts(10.0, uniform_fractions())
+        with pytest.raises(ValueError, match="sum to 1"):
+            init_counts(10, np.array([0.5, 0.5, 0.5, 0.5]))
+
+
+def _dense_matrix():
+    return random_column_stochastic(np.random.default_rng(2718))
+
+
+def _homogeneity_pvalue(a, b, n):
+    """Two-sample chi-square test that the rows of ``a`` and ``b`` (count
+    vectors of ``n`` sites) share one law. Outcomes seen fewer than 10 times
+    in both samples together share one bin."""
+    codes = np.concatenate([a, b]) @ (n + 1) ** np.arange(N_STATES)
+    _, outcome = np.unique(codes, return_inverse=True)
+    table = np.stack([np.bincount(outcome[: len(a)], minlength=outcome.max() + 1),
+                      np.bincount(outcome[len(a):], minlength=outcome.max() + 1)])
+    rare = table.sum(axis=0) < 10
+    table = np.column_stack([table[:, ~rare], table[:, rare].sum(axis=1)])
+    table = table[:, table.sum(axis=0) > 0]
+    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
+    stat = ((table - expected) ** 2 / expected).sum()
+    dof = table.shape[1] - 1
+    return float(mpmath.gammainc(dof / 2, stat / 2, mpmath.inf, regularized=True))
+
+
+def _one_step_samples(p_counts, p_sites, source, n=3, runs=4000):
+    """One-step count vectors of ``n`` sites in state ``source``, drawn
+    ``runs`` times in count space under ``p_counts`` and by the per-site
+    oracle under ``p_sites`` (one lattice of ``n * runs`` independent
+    sites, read in blocks of ``n``)."""
+    start = np.bincount([source], minlength=N_STATES) * n
+    rng = np.random.default_rng(100 + source)
+    counted = np.array([count_step(start, p_counts, rng) for _ in range(runs)])
+    lattice = Lattice(np.full(n * runs, source))
+    sites = mc_step(lattice, step_table(p_sites), step_uniforms(200 + source, 0, n * runs))
+    blocks = sites.sites.reshape(runs, n)
+    per_site = np.stack([(blocks == k).sum(axis=1) for k in range(N_STATES)], axis=1)
+    return counted, per_site, n
+
+
+class TestCountStep:
+    @pytest.mark.parametrize("matrix", ["model", "dense"])
+    def test_one_step_matches_exact_moments(self, reference_matrix, matrix):
+        # mean p @ c and covariance sum_l c_l (diag(p_l) - p_l p_l^T) of one step,
+        # each entry within five standard errors estimated from the draws
+        p = reference_matrix if matrix == "model" else _dense_matrix()
+        counts, runs = np.array([150, 90, 0, 160]), 20_000
+        rng = np.random.default_rng(31)
+        draws = np.array([count_step(counts, p, rng) for _ in range(runs)])
+        assert (draws.sum(axis=1) == counts.sum()).all()
+        mean = p @ counts
+        cov = sum(c * (np.diag(col) - np.outer(col, col)) for c, col in zip(counts, p.T))
+        centred = draws - mean
+        assert (np.abs(centred.mean(axis=0)) <= 5 * np.sqrt(np.diag(cov) / runs) + 1e-12).all()
+        products = centred[:, :, None] * centred[:, None, :]
+        se = products.std(axis=0) / np.sqrt(runs)
+        assert (np.abs(products.mean(axis=0) - cov) <= 5 * se + 1e-12).all()
+
+    @pytest.mark.parametrize("source", range(N_STATES))
+    def test_agrees_with_per_site_oracle(self, source):
+        p = _dense_matrix()
+        assert _homogeneity_pvalue(*_one_step_samples(p, p, source)) > 1e-4
+
+    @pytest.mark.parametrize("source", range(N_STATES))
+    def test_perturbed_matrix_fails_against_oracle(self, source):
+        # negative control: move 0.08 of the source column from its largest
+        # entry to its smallest; the same test must reject
+        p = _dense_matrix()
+        wrong = p.copy()
+        column = wrong[:, source]
+        column[column.argmax()] -= 0.08
+        column[column.argmin()] += 0.08
+        assert _homogeneity_pvalue(*_one_step_samples(wrong, p, source)) < 1e-4
+
+    def test_identity_matrix_keeps_counts(self):
+        counts = np.array([5, 0, 7, 1])
+        out = count_step(counts, np.eye(N_STATES), np.random.default_rng(0))
+        assert np.array_equal(out, counts)
+
+    def test_largest_lattice_keeps_its_total(self, reference_matrix):
+        n = 2**63 - 1
+        counts = init_counts(n, uniform_fractions())
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            counts = count_step(counts, reference_matrix, rng)
+            assert (counts >= 0).all() and sum(int(c) for c in counts) == n
 
 
 class TestLattice:
