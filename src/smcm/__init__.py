@@ -18,13 +18,10 @@ from .core import (
     uniform_fractions,
 )
 from .lcu import LcuDecomposition, decompose
-from .montecarlo import Lattice, fractions, init_lattice, mc_step, step_table, step_uniforms
 from .qsim import (
-    build_step_circuit,
     decode_fractions,
     quantum_step,
     quantum_step_exact,
-    run_statevector,
     sample_shots,
     step_operator,
 )

@@ -7,7 +7,8 @@ exponents and the quantum/Monte-Carlo prefactor ratio. Flags may also be
 given in a ``key = value`` config file; explicit flags win.
 
 Exit codes: 0 success, 2 configuration error (a run too large to
-allocate included), 3 numerical error, 4 insufficient shots, 141 standard
+allocate, an unreadable config file and an unwritable ``--out`` path
+included), 3 numerical error, 4 insufficient shots, 141 standard
 output closed early (as a process ended by SIGPIPE reports it, 128 + 13).
 """
 
@@ -28,8 +29,6 @@ from .experiments import (
     run_simulation,
     scaling_scan,
     shot_gap,
-    write_scan,
-    write_timeseries,
 )
 from .lcu import SubnormalizationError
 from .linalg import NotPsdError
@@ -130,7 +129,7 @@ def _read_config_file(path: str, allowed: dict) -> dict:
                     values[key] = allowed[key](value.strip())
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
 
@@ -155,11 +154,16 @@ def _build_config(options: dict) -> ExperimentConfig:
     return ExperimentConfig(**fields)
 
 
-def _emit_timeseries(series, out: str | None) -> None:
+def _emit(dump, result, out: str | None) -> None:
+    """Write ``result`` through ``dump`` to the ``out`` path, or to stdout."""
     if out is None:
-        dump_timeseries(series, sys.stdout)
-    else:
-        write_timeseries(series, out)
+        dump(result, sys.stdout)
+        return
+    try:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            dump(result, fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
 def _parse_values(text: str) -> list[int]:
@@ -172,7 +176,7 @@ def _parse_values(text: str) -> list[int]:
 def _cmd_run(args) -> int:
     options = _merge_options(args, _RUN_KEYS)
     series = run_simulation(_build_config(options))
-    _emit_timeseries(series, options.get("out"))
+    _emit(dump_timeseries, series, options.get("out"))
     return EXIT_OK
 
 
@@ -182,10 +186,8 @@ def _cmd_scan(args) -> int:
     values = _parse_values(options.get("values", DEFAULT_SCAN_VALUES))
     result = scaling_scan(cfg, values, options.get("repeats", DEFAULT_REPEATS))
     out = options.get("out")
-    if out is None:
-        dump_scan(result, sys.stdout)
-    else:
-        write_scan(result, out)
+    _emit(dump_scan, result, out)
+    if out is not None:
         print(f"{cfg.mode}: exponent={result.exponent:.4f} prefactor={result.prefactor:.6g}")
     return EXIT_OK
 

@@ -53,8 +53,6 @@ __all__ = [
     "run_simulation",
     "scaling_scan",
     "shot_gap",
-    "write_scan",
-    "write_timeseries",
 ]
 
 MODES = ("deterministic", "montecarlo", "quantum")
@@ -171,16 +169,15 @@ def run_simulation(cfg: ExperimentConfig) -> TimeSeries:
     n_steps = cfg.n_steps
     times = np.arange(n_steps + 1) * cfg.dt
     sigmas = np.empty((n_steps + 1, 4))
+    core.validate_stochastic(p)
 
     if cfg.mode == "deterministic":
-        core.validate_stochastic(p)
         sigma = uniform_fractions()
         sigmas[0] = sigma
         for i in range(n_steps):
             sigma = p @ sigma
             sigmas[i + 1] = sigma
     elif cfg.mode == "montecarlo":
-        core.validate_stochastic(p)
         counts = montecarlo.init_counts(cfg.n_sites, uniform_fractions())
         sigmas[0] = counts / cfg.n_sites
         for i in range(n_steps):
@@ -306,11 +303,6 @@ def dump_timeseries(series: TimeSeries, fh) -> None:
         fh.write(f"{t:.15g}," + ",".join(f"{v:.15g}" for v in row) + "\n")
 
 
-def write_timeseries(series: TimeSeries, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        dump_timeseries(series, fh)
-
-
 def read_timeseries(path) -> TimeSeries:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -324,11 +316,6 @@ def dump_scan(result: ScalingResult, fh) -> None:
     fh.write(SCAN_HEADER + "\n")
     for n, mean, std in zip(result.x, result.rms_mean, result.rms_std):
         fh.write(f"{int(n)},{mean:.15g},{std:.15g},{result.repeats}\n")
-
-
-def write_scan(result: ScalingResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        dump_scan(result, fh)
 
 
 def read_scan(path) -> ScalingResult:

@@ -18,7 +18,10 @@ matrix generally cannot be encoded directly. The decomposition instead
 encodes ``A / scale`` with ``scale = max(1, ||A||)`` recorded on the
 result. Downstream readout renormalises the decoded fractions, which
 makes the simulated dynamics independent of the scale; only the
-postselection probability shrinks, by ``scale**-2``.
+postselection probability shrinks, by ``scale**-2``. A 4x4
+column-stochastic matrix has ``||A|| <= sqrt(||A||_1 ||A||_inf) <= 2``,
+so every one-step matrix is encodable; a large norm costs only
+postselection rate.
 """
 
 from __future__ import annotations
@@ -31,18 +34,11 @@ from .linalg import NotPsdError, spectral_norm, sqrt_psd
 
 __all__ = [
     "LcuDecomposition",
-    "MAX_ENCODABLE_NORM",
     "SubnormalizationError",
     "build_unitaries",
     "decompose",
     "hermitian_split",
 ]
-
-#: Hard ceiling on the spectral norm accepted for encoding. One-step
-#: matrices sit barely above 1 (excess vanishing with dt); anything far
-#: beyond that signals a wrong input rather than round-off or a too-large
-#: step, so it is rejected instead of rescaled away.
-MAX_ENCODABLE_NORM = 1.1
 
 #: Relative headroom applied when rescaling so the PSD square-root
 #: operands stay clear of the round-off clamp.
@@ -55,29 +51,16 @@ class SubnormalizationError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class LcuDecomposition:
-    """Four unitaries averaging to ``source / scale``, plus the split parts.
+    """Four unitaries averaging to ``matrix / scale``, with the measured
+    spectral ``norm`` of ``matrix`` and the recorded ``scale``.
 
     ``unitaries`` are ordered to match ancilla values 00, 01, 10, 11 of
-    the step circuit. ``sym_part``/``skew_part`` are the symmetric and
-    antisymmetric halves of the encoded (rescaled) matrix; the Hermitian
-    pair behind the construction is ``(sym_part, -1j * skew_part)``.
+    the step circuit.
     """
 
-    source: np.ndarray
     norm: float
     scale: float
-    sym_part: np.ndarray
-    skew_part: np.ndarray
     unitaries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-    @property
-    def encoded(self) -> np.ndarray:
-        """The matrix the unitaries actually average to: ``source / scale``."""
-        return self.source / self.scale
-
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the source matrix from the unitaries and the scale."""
-        return self.scale * 0.5 * sum(self.unitaries)
 
 
 def hermitian_split(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,26 +110,13 @@ def build_unitaries(
 def decompose(matrix: np.ndarray) -> LcuDecomposition:
     """Decompose a one-step matrix into four unitaries plus a recorded scale.
 
-    The spectral norm is measured; values above :data:`MAX_ENCODABLE_NORM`
-    are rejected with advice to shrink the time step, values in ``(1,
-    MAX_ENCODABLE_NORM]`` are renormalised into the recorded ``scale``, and
-    genuinely contractive input is encoded as-is with ``scale = 1``.
+    The spectral norm is measured; a norm above one is renormalised into
+    the recorded ``scale``, and genuinely contractive input is encoded
+    as-is with ``scale = 1``. The caller validates the matrix itself (a
+    run checks it once with ``core.validate_stochastic``).
     """
     matrix = np.asarray(matrix, dtype=float)
     norm = spectral_norm(matrix)
-    if norm > MAX_ENCODABLE_NORM:
-        raise SubnormalizationError(
-            f"spectral norm {norm:.6f} exceeds the encodable ceiling {MAX_ENCODABLE_NORM}; "
-            "reduce the step size"
-        )
     scale = norm * (1.0 + _SCALE_MARGIN) if norm > 1.0 else 1.0
-    sym, skew = hermitian_split(matrix / scale)
-    unitaries = build_unitaries(sym, skew)
-    return LcuDecomposition(
-        source=matrix,
-        norm=norm,
-        scale=scale,
-        sym_part=sym,
-        skew_part=skew,
-        unitaries=unitaries,
-    )
+    unitaries = build_unitaries(*hermitian_split(matrix / scale))
+    return LcuDecomposition(norm=norm, scale=scale, unitaries=unitaries)

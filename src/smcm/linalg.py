@@ -2,8 +2,7 @@
 
 The PSD square root and the spectral norm are thin wrappers around
 LAPACK (``numpy.linalg``) that add the input checks and the round-off
-policy the unitary construction relies on; the Householder completion
-is written out because numpy has no direct equivalent.
+policy the unitary construction relies on.
 """
 
 from __future__ import annotations
@@ -14,10 +13,9 @@ __all__ = [
     "NotPsdError",
     "spectral_norm",
     "sqrt_psd",
-    "unitary_completion",
 ]
 
-_TOL = 1e-12  # on symmetry (relative to the largest entry) and on unit length
+_TOL = 1e-12  # on symmetry, relative to the largest entry
 _PSD_CLAMP = 1e-10
 
 
@@ -60,27 +58,3 @@ def spectral_norm(matrix: np.ndarray) -> float:
         raise ValueError("matrix entries must be finite")
     return float(np.linalg.norm(matrix, 2))
 
-
-def unitary_completion(vector: np.ndarray) -> np.ndarray:
-    """Real orthogonal matrix whose first column is the given unit vector.
-
-    Built as the Householder reflection through ``e0 - v``, which maps
-    ``e0`` to ``v`` exactly and is orthogonal by construction; the
-    degenerate case ``v = e0`` returns the identity. The remaining
-    columns are whatever the reflection yields.
-    """
-    v = np.asarray(vector, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {v.shape}")
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > _TOL:
-        raise ValueError(f"vector must have unit length within {_TOL}, got norm {norm!r}")
-    n = v.shape[0]
-    w = -v.copy()
-    w[0] += 1.0  # w = e0 - v
-    w_sq = w @ w
-    if w_sq < 1e-24:
-        return np.eye(n)
-    u = np.eye(n) - (2.0 / w_sq) * np.outer(w, w)
-    u[:, 0] = v  # pin the contract column; reflection already matches to round-off
-    return u

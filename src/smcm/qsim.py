@@ -1,4 +1,4 @@
-"""Exact statevector simulation of the cloud-fraction step circuit.
+"""The cloud-fraction step circuit, compiled to one isometry, and its readout.
 
 The circuit uses four qubits: two ancillas ``a0, a1`` that index which of
 the four decomposition unitaries acts, and two data qubits ``q0, q1``
@@ -12,7 +12,7 @@ indices 0-3 hold the postselected fraction amplitudes.
 One step runs: Hadamards on both ancillas and an initialiser placing the
 unit-normalised fraction vector in the data register; the four
 ancilla-controlled unitaries; Hadamards again. The ancilla-00 block of
-the result is ``encoded_matrix @ sigma_hat / 2``; sampling, postselecting
+the result is ``(matrix / scale) @ sigma_hat / 2``; sampling, postselecting
 on ancilla 00, square-rooting the counts, and renormalising to unit sum
 recovers the advanced fractions. The square-root/renormalise readout
 makes the decoded step independent of both the input's L2 norm and the
@@ -24,40 +24,31 @@ with final state ``W @ sigma_hat``, in closed form from the four
 unitaries and the ancilla Hadamards. Each step is one matrix-vector
 product and one multinomial draw of the shot counts, whatever the shot
 count; the counts are a plain int64 array, checked once, by
-:func:`decode_fractions`. The gate-level path (:class:`GateOp`,
-:func:`apply_gate`, :func:`run_statevector`, :func:`build_step_circuit`)
-is no part of a run; it is the independent oracle that ``W`` is tested
-against.
+:func:`decode_fractions`. The gate-level circuit that ``W`` is tested
+against lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import validate_simplex
 from .lcu import LcuDecomposition
-from .linalg import unitary_completion
 
 __all__ = [
     "ANCILLA_QUBITS",
     "DATA_QUBITS",
-    "GateOp",
     "HADAMARD",
     "InsufficientShotsError",
     "N_QUBITS",
-    "apply_gate",
     "born_probabilities",
-    "build_step_circuit",
     "decode_fractions",
     "quantum_step",
     "quantum_step_exact",
-    "run_statevector",
     "sample_shots",
     "step_operator",
-    "zero_state",
 ]
 
 N_QUBITS = 4
@@ -68,129 +59,10 @@ DATA_QUBITS = (2, 3)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 _NORM_TOL = 1e-10
-_UNITARY_TOL = 1e-9
 
 
 class InsufficientShotsError(RuntimeError):
     """No shot landed in the postselected ancilla block; nothing to decode."""
-
-
-@dataclass(frozen=True, eq=False)
-class GateOp:
-    """A unitary on ``targets``, optionally conditioned on ancilla bits.
-
-    ``matrix`` acts on the target qubits with ``targets[0]`` as the most
-    significant bit of the matrix index. ``controls`` is a tuple of
-    ``(qubit, bit)`` pairs; the gate acts only on basis states whose
-    control qubits carry exactly those bit values, which is how the
-    circuit diagram's filled/open control dots are expressed here.
-    """
-
-    matrix: np.ndarray
-    targets: tuple[int, ...]
-    controls: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=complex)
-        targets = tuple(int(t) for t in self.targets)
-        controls = tuple((int(q), int(b)) for q, b in self.controls)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "controls", controls)
-
-        k = len(targets)
-        if matrix.shape != (1 << k, 1 << k):
-            raise ValueError(f"matrix shape {matrix.shape} does not fit {k} target qubit(s)")
-        if len(set(targets)) != k:
-            raise ValueError(f"target qubits must be distinct, got {targets}")
-        ctrl_qubits = [q for q, _ in controls]
-        if len(set(ctrl_qubits)) != len(ctrl_qubits):
-            raise ValueError(f"control qubits must be distinct, got {controls}")
-        if set(ctrl_qubits) & set(targets):
-            raise ValueError("control qubits must be disjoint from targets")
-        if any(b not in (0, 1) for _, b in controls):
-            raise ValueError(f"control bits must be 0 or 1, got {controls}")
-        residual = np.abs(matrix @ matrix.conj().T - np.eye(1 << k)).max()
-        if residual > _UNITARY_TOL:
-            raise ValueError(f"gate matrix is not unitary (residual {residual:.3e})")
-
-
-def zero_state() -> np.ndarray:
-    state = np.zeros(DIM, dtype=complex)
-    state[0] = 1.0
-    return state
-
-
-def apply_gate(state: np.ndarray, gate: GateOp) -> np.ndarray:
-    """Apply one gate and return the new statevector.
-
-    The state is reshaped to one axis per qubit; control qubits are
-    sliced down to the matching bit values and the gate matrix is
-    contracted against the target axes of that block. Norm preservation
-    is checked to guard against indexing mistakes.
-    """
-    state = np.asarray(state, dtype=complex)
-    n = state.size.bit_length() - 1
-    if 1 << n != state.size:
-        raise ValueError(f"state length {state.size} is not a power of two")
-    for q in (*gate.targets, *(q for q, _ in gate.controls)):
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range for {n}-qubit state")
-
-    psi = state.copy().reshape([2] * n)
-    index: list = [slice(None)] * n
-    for q, bit in gate.controls:
-        index[q] = bit
-    block = psi[tuple(index)]
-
-    ctrl_set = {q for q, _ in gate.controls}
-    remaining = [q for q in range(n) if q not in ctrl_set]
-    axes = [remaining.index(t) for t in gate.targets]
-    k = len(gate.targets)
-    gate_tensor = gate.matrix.reshape([2] * (2 * k))
-    moved = np.tensordot(gate_tensor, block, axes=(list(range(k, 2 * k)), axes))
-    psi[tuple(index)] = np.moveaxis(moved, range(k), axes)
-
-    out = psi.reshape(-1)
-    in_norm = np.linalg.norm(state)
-    drift = abs(np.linalg.norm(out) - in_norm)
-    if drift > _NORM_TOL * max(1.0, in_norm):
-        raise RuntimeError(f"gate application changed the state norm by {drift:.3e}")
-    return out
-
-
-def run_statevector(gates) -> np.ndarray:
-    """Evolve ``|0000>`` through the gate sequence."""
-    state = zero_state()
-    for gate in gates:
-        state = apply_gate(state, gate)
-    return state
-
-
-def build_step_circuit(sigma: np.ndarray, decomposition: LcuDecomposition) -> list[GateOp]:
-    """Gate sequence for one fraction-update step.
-
-    Order: Hadamard on each ancilla and the data-register initialiser
-    (whose first column is the unit-normalised fraction vector), the four
-    controlled unitaries selected by ancilla values 00, 01, 10, 11, then
-    the closing ancilla Hadamards. Always nine gates.
-    """
-    sigma = validate_simplex(sigma)
-    sigma_hat = sigma / np.linalg.norm(sigma)
-    initialiser = unitary_completion(sigma_hat)
-
-    a0, a1 = ANCILLA_QUBITS
-    gates = [
-        GateOp(HADAMARD, (a0,)),
-        GateOp(HADAMARD, (a1,)),
-        GateOp(initialiser, DATA_QUBITS),
-    ]
-    for value, unitary in enumerate(decomposition.unitaries):
-        controls = ((a0, (value >> 1) & 1), (a1, value & 1))
-        gates.append(GateOp(unitary, DATA_QUBITS, controls))
-    gates.append(GateOp(HADAMARD, (a0,)))
-    gates.append(GateOp(HADAMARD, (a1,)))
-    return gates
 
 
 def step_operator(decomposition: LcuDecomposition) -> np.ndarray:

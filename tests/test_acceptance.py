@@ -22,20 +22,31 @@ from smcm.core import (
 )
 from smcm.experiments import ExperimentConfig, run_simulation, scaling_scan, shot_gap
 from smcm.lcu import decompose
-from smcm.montecarlo import init_lattice, init_rng, mc_step, step_table, step_uniforms
 from smcm.qsim import (
     born_probabilities,
-    build_step_circuit,
     decode_fractions,
     quantum_step_exact,
-    run_statevector,
     sample_shots,
     step_operator,
-    zero_state,
-    apply_gate,
 )
 from conftest import random_column_stochastic, random_rate_matrix, random_simplex
-from test_lcu import max_unitarity_residual, random_symmetric_doubly_stochastic
+from oracles import (
+    apply_gate,
+    build_step_circuit,
+    init_lattice,
+    init_rng,
+    mc_step,
+    run_statevector,
+    step_table,
+    step_uniforms,
+    zero_state,
+)
+from test_lcu import (
+    max_unitarity_residual,
+    random_step_matrix,
+    random_symmetric_doubly_stochastic,
+    reconstruct,
+)
 
 ROUNDED_EQUILIBRIUM = np.array([0.46, 0.26, 0.10, 0.17])
 BALANCE_ORACLE = np.array([0.4636, 0.2576, 0.1046, 0.1743])
@@ -127,7 +138,7 @@ def test_03_unitary_decomposition_exactness(step_matrix):
         dec = decompose(matrix)
         worst_unitarity = max(worst_unitarity, max_unitarity_residual(dec.unitaries))
         worst_residual = max(
-            worst_residual, float(np.abs(dec.reconstruct() - matrix).max())
+            worst_residual, float(np.abs(reconstruct(dec) - matrix).max())
         )
 
     check(step_matrix)
@@ -135,13 +146,7 @@ def test_03_unitary_decomposition_exactness(step_matrix):
     for _ in range(500):
         check(random_symmetric_doubly_stochastic(rng))
     for _ in range(500):
-        while True:
-            r = random_rate_matrix(rng)
-            dt = rng.uniform(0.01, 0.9) / max(r.sum(axis=1).max(), 1e-9)
-            m = transition_matrix(r, dt)
-            if np.linalg.svd(m, compute_uv=False)[0] <= 1.05:
-                break
-        check(m)
+        check(random_step_matrix(rng))
     elapsed = time.perf_counter() - start
     ok = worst_unitarity < 1e-9 and worst_residual < 1e-9 and elapsed < 10.0
     report(
@@ -239,7 +244,9 @@ def test_09_shot_gap_report(mc_scaling, quantum_scaling):
     ratio = shot_gap(mc_scaling, quantum_scaling)
     # report-only: the ratio depends on the sampler; postselection keeps
     # only ~a quarter of the shots and the squared encoding costs another
-    # factor, so the quantum prefactor should not beat the lattice one
+    # factor, so the quantum prefactor should not beat the lattice one.
+    # The ratio describes dt = 0.1 h only: the Monte Carlo variance does not
+    # depend on dt, while the quantum variance scales as 1/(shots * dt)
     ok = math.isfinite(ratio) and ratio >= 1.0
     report(9, ok, f"fluctuation prefactor ratio quantum/montecarlo: {ratio:.2f}")
     assert math.isfinite(ratio)

@@ -1,4 +1,6 @@
+import contextlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -6,15 +8,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smcm.cli import EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_SHOTS, main
+from smcm.core import EnvParams, TimescaleTable, transition_rates
 from smcm.experiments import (
     MODES,
     ExperimentConfig,
+    dump_timeseries,
     read_scan,
     read_timeseries,
     run_simulation,
-    write_timeseries,
 )
 
 
@@ -29,13 +34,13 @@ def test_run_writes_timeseries(tmp_path):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_run_defaults_match_config_defaults(mode, tmp_path):
-    out, expected = tmp_path / "cli.csv", tmp_path / "config.csv"
+    out, expected = tmp_path / "cli.csv", io.StringIO()
     argv = ["run", "--mode", mode, "--t-end", "2", "--seed", "1", "--out", str(out)]
     assert main(argv) == EXIT_OK
-    write_timeseries(
+    dump_timeseries(
         run_simulation(ExperimentConfig(mode=mode, t_end=2, spinup=0.4, seed=1)), expected
     )
-    assert out.read_bytes() == expected.read_bytes()
+    assert out.read_bytes() == expected.getvalue().encode()
 
 
 def test_run_defaults_to_stdout(capsys):
@@ -81,6 +86,28 @@ def test_unknown_config_key_is_config_error(tmp_path):
 
 def test_missing_config_file_is_config_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == EXIT_CONFIG
+
+
+def test_non_utf8_config_file_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("# r\xe9glage\nsites = 25\n".encode("latin-1"))
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--t-end", "1"],
+        ["scan", "--mode", "montecarlo", "--t-end", "1", "--values", "10,60,360", "--repeats", "3"],
+    ],
+    ids=["run", "scan"],
+)
+def test_out_in_missing_directory_is_config_error(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "absent" / "out.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
 
 
 def test_t_end_off_the_step_grid_is_config_error(capsys):
@@ -163,6 +190,49 @@ def test_oversized_dt_is_numeric_error(capsys):
     rc = main(["run", "--dt", "10"])
     assert rc == EXIT_NUMERIC
     assert "numerical error" in capsys.readouterr().err
+
+
+def _run_rows(argv) -> np.ndarray:
+    """Rows of ``smcm`` run with ``argv``, which must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == EXIT_OK
+    return np.loadtxt(io.StringIO(out.getvalue()), delimiter=",", skiprows=1, ndmin=2)
+
+
+def _check_every_engine(argv):
+    """Every engine runs ``argv`` and the exact decode equals deterministic."""
+    det = _run_rows(argv)
+    for mode in ("montecarlo", "quantum"):
+        assert _run_rows(argv + ["--mode", mode]).shape == det.shape
+    exact = _run_rows(argv + ["--mode", "quantum", "--shots", "0"])
+    assert np.abs(exact - det).max() < 1e-10
+
+
+def test_quantum_runs_a_step_of_large_norm():
+    # dt 2 h gives a one-step matrix of spectral norm 1.13
+    _check_every_engine(["run", "--dt", "2", "--t-end", "20", "--spinup", "2"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    cape=st.floats(0, 20),
+    dryness=st.floats(0, 20),
+    dt_fraction=st.floats(0, 1, exclude_min=True),
+)
+def test_every_admissible_step_runs_in_every_engine(cape, dryness, dt_fraction):
+    # dt anywhere in (0, dt_max], the largest step transition_matrix accepts;
+    # at most 20 steps and 2 h
+    rates = transition_rates(EnvParams(cape, dryness), TimescaleTable())
+    leave_rate = float(rates.sum(axis=1).max())
+    dt = dt_fraction / leave_rate
+    while leave_rate * dt > 1.0:  # the division can round dt past dt_max
+        dt = math.nextafter(dt, 0.0)
+    n_steps = int(max(1, min(20, 2.0 // dt)))
+    _check_every_engine([
+        "run", "--cape", str(cape), "--dryness", str(dryness), "--dt", str(dt),
+        "--t-end", str(n_steps * dt), "--spinup", "0",
+    ])
 
 
 def test_starved_quantum_run_is_shot_error(capsys):

@@ -3,12 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smcm.linalg import (
-    NotPsdError,
-    spectral_norm,
-    sqrt_psd,
-    unitary_completion,
-)
+from smcm.linalg import NotPsdError, spectral_norm, sqrt_psd
+from oracles import unitary_completion
 
 
 def random_unitary(rng):

@@ -8,19 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smcm.core import N_STATES, deterministic_step, transition_matrix, uniform_fractions
-from smcm.montecarlo import (
+from smcm.montecarlo import count_step, init_counts
+from conftest import random_column_stochastic
+from oracles import (
     _JUMP_TARGETS,
     Lattice,
-    count_step,
     fractions,
-    init_counts,
     init_lattice,
     init_rng,
     mc_step,
     step_table,
     step_uniforms,
 )
-from conftest import random_column_stochastic
 
 
 class TestStreams:

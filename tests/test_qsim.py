@@ -6,21 +6,17 @@ from smcm.core import deterministic_step, stationary_fractions, uniform_fraction
 from smcm.lcu import decompose
 from smcm.qsim import (
     DATA_QUBITS,
-    GateOp,
     HADAMARD,
     InsufficientShotsError,
-    apply_gate,
     born_probabilities,
-    build_step_circuit,
     decode_fractions,
     quantum_step,
     quantum_step_exact,
-    run_statevector,
     sample_shots,
     step_operator,
-    zero_state,
 )
 from conftest import random_simplex
+from oracles import GateOp, apply_gate, build_step_circuit, run_statevector, zero_state
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -144,7 +140,7 @@ class TestStepCircuit:
         block = state[:4]
         assert np.abs(block - 0.5 * normalized(sigma)).max() < 1e-12
 
-    def test_intermediate_states(self, reference_lcu):
+    def test_intermediate_states(self, reference_matrix, reference_lcu):
         sigma = uniform_fractions()
         sigma_hat = normalized(sigma)
         gates = build_step_circuit(sigma, reference_lcu)
@@ -163,7 +159,7 @@ class TestStepCircuit:
         assert np.abs(after_controlled - expected2).max() < 1e-10
 
         # ancilla-00 block averages the unitaries: encoded matrix over 2
-        expected_block = 0.5 * (reference_lcu.encoded @ sigma_hat)
+        expected_block = 0.5 * (reference_matrix / reference_lcu.scale @ sigma_hat)
         assert np.abs(final[:4] - expected_block).max() < 1e-10
 
 
