@@ -123,7 +123,7 @@ class TestDecompose:
         assert np.abs(reconstruct(dec) - reference_matrix).max() < 1e-10
 
     def test_norm_two_is_rescaled(self):
-        # the largest spectral norm a 4x4 column-stochastic matrix can have
+        # norm 2: the bound on the norm of any 4x4 column-stochastic matrix
         dec = decompose(2.0 * EYE)
         assert dec.scale == pytest.approx(2.0, rel=1e-11)
         assert max_unitarity_residual(dec.unitaries) < 1e-9
