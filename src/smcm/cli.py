@@ -31,7 +31,6 @@ from .experiments import (
     shot_gap,
 )
 from .lcu import SubnormalizationError
-from .linalg import NotPsdError
 from .qsim import InsufficientShotsError
 
 EXIT_OK = 0
@@ -184,8 +183,11 @@ def _cmd_scan(args) -> int:
     options = _merge_options(args, _SCAN_KEYS)
     cfg = _build_config(options)
     values = _parse_values(options.get("values", DEFAULT_SCAN_VALUES))
-    result = scaling_scan(cfg, values, options.get("repeats", DEFAULT_REPEATS))
     out = options.get("out")
+    # fail before a sweep that could not be saved; the file is created only after it
+    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigError(f"cannot write {out}: no such directory")
+    result = scaling_scan(cfg, values, options.get("repeats", DEFAULT_REPEATS))
     _emit(dump_scan, result, out)
     if out is not None:
         print(f"{cfg.mode}: exponent={result.exponent:.4f} prefactor={result.prefactor:.6g}")
@@ -230,7 +232,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory, reduce t_end: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SubnormalizationError, NotPsdError, StepSizeError, DegenerateRatesError) as exc:
+    except (SubnormalizationError, StepSizeError, DegenerateRatesError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except InsufficientShotsError as exc:

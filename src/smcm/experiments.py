@@ -223,8 +223,8 @@ def fit_power_law(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 2:
         raise ValueError("need at least two matching points to fit")
-    if (x <= 0).any() or (y <= 0).any():
-        raise ValueError("power-law fit needs positive data")
+    if not all(np.all(np.isfinite(v) & (v > 0)) for v in (x, y)):
+        raise ValueError("power-law fit needs finite, positive data")
     exponent, log_prefactor = np.polyfit(np.log(x), np.log(y), 1)
     return float(exponent), float(math.exp(log_prefactor))
 

@@ -1,16 +1,24 @@
 """Uniform four-term unitary decomposition of a one-step transition matrix.
 
 A real matrix ``A`` splits into its symmetric part ``B`` and
-antisymmetric part ``K`` (``A = B + K``). When both parts are
-contractions, each generates a conjugate pair of unitaries,
+antisymmetric part ``K`` (``A = B + K``). A Hermitian contraction ``h``
+with eigendecomposition ``h = V diag(x) V^dagger`` generates the
+conjugate pair of unitaries
 
-    U1 = B + i*sqrt(I - B^2),   U2 = B - i*sqrt(I - B^2),
-    U3 = K - sqrt(I + K^2),     U4 = K + sqrt(I + K^2),
+    V diag(x + i*sqrt(1 - x^2)) V^dagger,   V diag(x - i*sqrt(1 - x^2)) V^dagger,
 
-and the average of the four recovers the matrix:
-``(U1 + U2 + U3 + U4) / 2 = B + K = A``. A circuit that applies the four
-unitaries in uniform ancilla superposition therefore applies ``A`` on the
-ancilla-00 branch.
+that is ``h +- i*sqrt(I - h^2)``, which average back to ``h``. ``B`` is
+such an ``h`` and gives ``U1, U2 = B +- i*sqrt(I - B^2)``. ``i*K`` is
+Hermitian with ``(i*K)^2 = -K^2``, so ``-i`` times its pair gives
+``U4, U3 = K +- sqrt(I + K^2)``. The average of the four recovers the
+matrix: ``(U1 + U2 + U3 + U4) / 2 = B + K = A``. A circuit that applies
+the four unitaries in uniform ancilla superposition therefore applies
+``A`` on the ancilla-00 branch.
+
+A part is a contraction when every eigenvalue has ``1 - x^2 >= 0``.
+Values down to ``-1e-10`` are round-off and clamped to zero; below that
+the part is not sub-normalised and :class:`SubnormalizationError` is
+raised rather than a root fabricated.
 
 Column-stochastic matrices always carry a singular value of at least one
 (they have eigenvalue one), and asymmetric ones exceed it, so the exact
@@ -30,8 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NotPsdError, spectral_norm, sqrt_psd
-
 __all__ = [
     "LcuDecomposition",
     "SubnormalizationError",
@@ -40,9 +46,13 @@ __all__ = [
     "hermitian_split",
 ]
 
-#: Relative headroom applied when rescaling so the PSD square-root
-#: operands stay clear of the round-off clamp.
+#: Relative headroom applied when rescaling so the eigenvalues of the
+#: parts stay clear of the round-off clamp.
 _SCALE_MARGIN = 1e-12
+#: Tolerance on (anti)symmetry, relative to the largest entry.
+_SYMMETRY_TOL = 1e-12
+#: Round-off clamp on ``1 - x^2`` for an eigenvalue ``x`` of a part.
+_CLAMP = 1e-10
 
 
 class SubnormalizationError(ValueError):
@@ -63,6 +73,15 @@ class LcuDecomposition:
     unitaries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
+def _finite_square(matrix: np.ndarray) -> np.ndarray:
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("matrix entries must be finite")
+    return matrix
+
+
 def hermitian_split(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a real matrix into symmetric and antisymmetric parts.
 
@@ -70,14 +89,24 @@ def hermitian_split(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     halves are contractions of the input (their spectral norms never
     exceed the input's), so sub-normalising the input covers them too.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("matrix entries must be finite")
+    matrix = _finite_square(matrix)
     sym = 0.5 * (matrix + matrix.T)
     skew = matrix - sym
     return sym, skew
+
+
+def _conjugate_pair(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``h + i*sqrt(I - h^2)`` and ``h - i*sqrt(I - h^2)`` for a Hermitian
+    contraction ``h``, from one eigendecomposition."""
+    x, v = np.linalg.eigh(h)
+    gap = 1.0 - x * x
+    if gap.min() < -_CLAMP:
+        raise SubnormalizationError(
+            f"matrix not sub-normalized: spectral norm {np.abs(x).max():.6g} exceeds 1"
+        )
+    root = 1j * np.sqrt(np.maximum(gap, 0.0))
+    vh = v.conj().T
+    return (v * (x + root)) @ vh, (v * (x - root)) @ vh
 
 
 def build_unitaries(
@@ -85,26 +114,23 @@ def build_unitaries(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The four unitaries generated by contraction parts ``sym`` and ``skew``.
 
-    ``sym`` must be symmetric and ``skew`` antisymmetric, each with
-    spectral norm at most one (up to round-off); otherwise the square
-    roots do not exist and a :class:`SubnormalizationError` is raised.
-    The first pair is complex-conjugate, the second pair real orthogonal;
+    ``sym`` must be symmetric and ``skew`` antisymmetric, to a relative
+    1e-12, or a ``ValueError`` is raised. Each must have spectral norm at
+    most one (up to round-off); otherwise the square roots do not exist
+    and a :class:`SubnormalizationError` is raised. The first pair is
+    complex-conjugate, the second pair real orthogonal up to round-off;
     each pair averages back to its generating part (``sym`` and ``skew``
     respectively) and all four commute with their generator.
     """
-    eye = np.eye(sym.shape[0])
-    try:
-        root_sym = sqrt_psd(eye - sym @ sym)
-        root_skew = sqrt_psd(eye + skew @ skew)  # skew^2 is NSD, so this is I - |skew|^2
-    except NotPsdError as exc:
-        raise SubnormalizationError(
-            f"matrix not sub-normalized: spectral norm exceeds 1 ({exc})"
-        ) from exc
-    u1 = sym + 1j * root_sym
-    u2 = sym - 1j * root_sym
-    u3 = skew - root_skew
-    u4 = skew + root_skew
-    return u1, u2, u3.astype(complex), u4.astype(complex)
+    sym, skew = _finite_square(sym), _finite_square(skew)
+    if sym.shape != skew.shape:
+        raise ValueError(f"part shapes differ: {sym.shape} and {skew.shape}")
+    for part, sign, name in ((sym, 1.0, "symmetric"), (skew, -1.0, "antisymmetric")):
+        if np.abs(part - sign * part.T).max() > _SYMMETRY_TOL * max(1.0, np.abs(part).max()):
+            raise ValueError(f"part is not {name} within tolerance")
+    u1, u2 = _conjugate_pair(sym)
+    plus, minus = _conjugate_pair(1j * skew)  # sqrt(I + skew^2) = sqrt(I - (i*skew)^2)
+    return u1, u2, -1j * minus, -1j * plus
 
 
 def decompose(matrix: np.ndarray) -> LcuDecomposition:
@@ -112,11 +138,12 @@ def decompose(matrix: np.ndarray) -> LcuDecomposition:
 
     The spectral norm is measured; a norm above one is renormalised into
     the recorded ``scale``, and genuinely contractive input is encoded
-    as-is with ``scale = 1``. The caller validates the matrix itself (a
-    run checks it once with ``core.validate_stochastic``).
+    as-is with ``scale = 1``. A non-square or non-finite matrix raises
+    ``ValueError``; the caller validates the rest (a run checks the matrix
+    once with ``core.validate_stochastic``).
     """
-    matrix = np.asarray(matrix, dtype=float)
-    norm = spectral_norm(matrix)
+    matrix = _finite_square(matrix)
+    norm = float(np.linalg.norm(matrix, 2))
     scale = norm * (1.0 + _SCALE_MARGIN) if norm > 1.0 else 1.0
     unitaries = build_unitaries(*hermitian_split(matrix / scale))
     return LcuDecomposition(norm=norm, scale=scale, unitaries=unitaries)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smcm import cli, experiments
 from smcm.cli import EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_SHOTS, main
 from smcm.core import EnvParams, TimescaleTable, transition_rates
 from smcm.experiments import (
@@ -97,17 +98,29 @@ def test_non_utf8_config_file_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, runs",
     [
-        ["run", "--t-end", "1"],
-        ["scan", "--mode", "montecarlo", "--t-end", "1", "--values", "10,60,360", "--repeats", "3"],
+        (["run", "--t-end", "1"], 1),
+        (
+            ["scan", "--mode", "montecarlo", "--t-end", "1", "--values", "10,60,360", "--repeats", "3"],
+            0,  # the directory is checked before the sweep starts
+        ),
     ],
     ids=["run", "scan"],
 )
-def test_out_in_missing_directory_is_config_error(argv, tmp_path, capsys):
+def test_out_in_missing_directory_is_config_error(argv, runs, tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting_run(cfg):
+        calls.append(cfg)
+        return run_simulation(cfg)
+
+    monkeypatch.setattr(cli, "run_simulation", counting_run)
+    monkeypatch.setattr(experiments, "run_simulation", counting_run)
     assert main(argv + ["--out", str(tmp_path / "absent" / "out.csv")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert len(calls) == runs
 
 
 def test_t_end_off_the_step_grid_is_config_error(capsys):
@@ -309,6 +322,24 @@ def test_scan_defaults_to_stdout(capsys):
 
 def test_report_without_inputs_is_config_error():
     assert main(["report"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["10,0.1,0.01,3", "60,0.04,0.01,3", "360,nan,0.01,3"],
+        ["10,0.1,0.01,3", "60,0.04,0.01,3", "360,inf,0.01,3"],
+        ["10,0.1,0.01,3", "nan,0.04,0.01,3", "360,0.02,0.01,3"],
+    ],
+    ids=["nan-rms", "inf-rms", "nan-n"],
+)
+def test_report_on_non_finite_scan_is_config_error(rows, tmp_path, capfd):
+    scan = tmp_path / "scan.csv"
+    scan.write_text("\n".join(["n,rms_mean,rms_std,repeats", *rows]) + "\n")
+    assert main(["report", "--mc", str(scan)]) == EXIT_CONFIG
+    out, err = capfd.readouterr()  # file descriptors, so LAPACK's own prints count too
+    assert out == ""
+    assert err.startswith("error: cannot read scan file") and err.count("\n") == 1
 
 
 def test_scan_with_deterministic_mode_is_config_error():

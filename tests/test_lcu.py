@@ -1,9 +1,11 @@
 import itertools
+import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from smcm.core import transition_matrix
+from smcm.core import EnvParams, TimescaleTable, transition_matrix, transition_rates
 from smcm.lcu import (
     SubnormalizationError,
     build_unitaries,
@@ -29,6 +31,34 @@ def random_step_matrix(rng):
     rates = random_rate_matrix(rng)
     dt = rng.uniform(0.01, 1.0) / max(rates.sum(axis=1).max(), 1e-9)
     return transition_matrix(rates, dt)
+
+
+def largest_step_matrix(cape, dryness):
+    """One-step matrix at the largest dt the default timescales admit."""
+    rates = transition_rates(EnvParams(cape, dryness), TimescaleTable())
+    leave_rate = float(rates.sum(axis=1).max())
+    dt = 1.0 / leave_rate
+    while leave_rate * dt > 1.0:  # the division can round dt past dt_max
+        dt = math.nextafter(dt, 0.0)
+    return transition_matrix(rates, dt)
+
+
+def mpmath_unitaries(sym, skew):
+    """``B +- i*sqrtm(I - B^2)`` and ``K -+ sqrtm(I + K^2)`` at 30 digits."""
+    with mpmath.workdps(30):
+        b, k = mpmath.matrix(sym.tolist()), mpmath.matrix(skew.tolist())
+        eye = mpmath.eye(sym.shape[0])
+        root_sym = mpmath.sqrtm(eye - b * b)
+        root_skew = mpmath.sqrtm(eye + k * k)
+        unitaries = (b + 1j * root_sym, b - 1j * root_sym, k - root_skew, k + root_skew)
+        return [np.array(u.tolist(), dtype=complex) for u in unitaries]
+
+
+INVALID_MATRICES = {
+    "nan": np.diag([1.0, np.nan, 1.0, 1.0]),
+    "inf": np.diag([1.0, 1.0, np.inf, 1.0]),
+    "non-square": np.eye(4)[:3],
+}
 
 
 def max_unitarity_residual(unitaries):
@@ -102,8 +132,50 @@ class TestBuildUnitaries:
         with pytest.raises(SubnormalizationError):
             build_unitaries(1.5 * EYE, np.zeros((4, 4)))
 
+    def test_round_off_beyond_one_clamped(self):
+        # 1 - x^2 = -2e-12 is round-off, inside the 1e-10 clamp
+        unitaries = build_unitaries((1.0 + 1e-12) * EYE, np.zeros((4, 4)))
+        assert max_unitarity_residual(unitaries) < 1e-11
+
+    @pytest.mark.parametrize(
+        "sym, skew",
+        [
+            (np.arange(16.0).reshape(4, 4) / 40, np.zeros((4, 4))),
+            (np.zeros((4, 4)), np.triu(np.ones((4, 4)), 1) / 4),
+            *[(m, np.zeros((4, 4))) for m in INVALID_MATRICES.values()],
+            (np.zeros((4, 4)), np.zeros((3, 3))),
+        ],
+        ids=["asymmetric", "skew-not-antisymmetric", *INVALID_MATRICES, "shapes-differ"],
+    )
+    def test_invalid_input_rejected(self, sym, skew):
+        with pytest.raises(ValueError) as exc:
+            build_unitaries(sym, skew)
+        assert not isinstance(exc.value, SubnormalizationError)
+
+    @pytest.mark.parametrize(
+        "point",
+        [None, *itertools.product((0.0, 10.0, 20.0), repeat=2)],
+        ids=lambda point: "reference" if point is None else "cape{:g}-dryness{:g}".format(*point),
+    )
+    def test_matches_mpmath_formula(self, reference_matrix, point):
+        if point is None:
+            matrix = reference_matrix
+        else:  # the grid's largest steps, norm 1.25 to 1.34
+            matrix = largest_step_matrix(*point)
+            assert np.linalg.norm(matrix, 2) >= 1.2
+        dec = decompose(matrix)
+        expected = mpmath_unitaries(*hermitian_split(matrix / dec.scale))
+        for unitary, oracle in zip(dec.unitaries, expected):
+            assert np.abs(unitary - oracle).max() < 1e-12
+
 
 class TestDecompose:
+    @pytest.mark.parametrize("matrix", INVALID_MATRICES.values(), ids=INVALID_MATRICES)
+    def test_invalid_input_rejected(self, matrix):
+        # rejected before LAPACK sees it (a NaN would fail the SVD instead)
+        with pytest.raises(ValueError, match="square|finite"):
+            decompose(matrix)
+
     def test_identity(self):
         dec = decompose(EYE)
         assert dec.scale == 1.0

@@ -2,7 +2,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from smcm.core import deterministic_step, stationary_fractions, uniform_fractions
+from smcm.core import (
+    EnvParams,
+    TimescaleTable,
+    deterministic_step,
+    stationary_fractions,
+    transition_matrix,
+    transition_rates,
+    uniform_fractions,
+)
 from smcm.lcu import decompose
 from smcm.qsim import (
     DATA_QUBITS,
@@ -15,8 +23,15 @@ from smcm.qsim import (
     sample_shots,
     step_operator,
 )
-from conftest import random_simplex
-from oracles import GateOp, apply_gate, build_step_circuit, run_statevector, zero_state
+from conftest import random_rate_matrix, random_simplex
+from oracles import (
+    GateOp,
+    apply_gate,
+    build_step_circuit,
+    run_statevector,
+    unitary_completion,
+    zero_state,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -114,6 +129,35 @@ class TestRunStatevector:
         expected = np.zeros(16, dtype=complex)
         expected[[0, 4, 8, 12]] = 0.5  # uniform ancilla superposition, data |00>
         assert np.abs(state - expected).max() < 1e-15
+
+
+class TestUnitaryCompletion:
+    def test_basis_vector_gives_identity(self):
+        assert np.array_equal(unitary_completion(np.array([1.0, 0, 0, 0])), np.eye(4))
+
+    def test_uniform_vector(self):
+        u = unitary_completion(np.full(4, 0.5))
+        assert np.array_equal(u[:, 0], np.full(4, 0.5))
+        assert np.abs(u.T @ u - np.eye(4)).max() < 1e-12
+
+    def test_random_unit_vectors(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            v = rng.dirichlet(np.ones(4))
+            v = np.sqrt(v)  # unit L2 norm with non-negative entries
+            u = unitary_completion(v)
+            assert np.array_equal(u[:, 0], v)
+            assert np.abs(u.T @ u - np.eye(4)).max() < 1e-12
+
+    def test_non_unit_rejected(self):
+        with pytest.raises(ValueError):
+            unitary_completion(np.array([1.0, 1.0, 0.0, 0.0]))
+
+    def test_nearly_aligned_vector_stays_orthogonal(self):
+        v = np.array([1.0 - 1e-13, 0.0, 0.0, 0.0])
+        v = v / np.linalg.norm(v)
+        u = unitary_completion(v)
+        assert np.abs(u.T @ u - np.eye(4)).max() < 1e-12
 
 
 class TestStepCircuit:
@@ -355,3 +399,30 @@ class TestQuantumStep:
         counts = sample_shots(state, 100000, np.random.default_rng(6))
         _, rate = decode_fractions(counts)
         assert abs(rate - 0.25) < 0.02
+
+    def test_postselection_rate_at_large_scale(self):
+        # CAPE 20, dryness 0, dt 1 h just under dt_max: norm and scale 1.340
+        p = transition_matrix(transition_rates(EnvParams(20.0, 0.0), TimescaleTable()), 1.0)
+        dec = decompose(p)
+        assert dec.scale == pytest.approx(1.340, abs=1e-3)
+        sigma_hat = normalized(uniform_fractions())
+        n = 200_000
+        counts = sample_shots(step_operator(dec) @ sigma_hat, n, np.random.default_rng(14))
+        _, rate = decode_fractions(counts)
+
+        def within_five_sd(scale):
+            predicted = np.sum(np.abs(p @ sigma_hat) ** 2) / (4.0 * scale**2)
+            return abs(rate - predicted) < 5.0 * np.sqrt(predicted * (1.0 - predicted) / n)
+
+        assert within_five_sd(dec.scale)  # predicted 0.2251, sd 9.3e-4
+        assert not within_five_sd(1.0)  # negative control: the rescale is seen
+
+    def test_fixed_point_under_random_timescales(self):
+        rng = np.random.default_rng(15)
+        for _ in range(500):
+            rates = random_rate_matrix(rng)
+            dt = rng.uniform(0.01, 1.0) / rates.sum(axis=1).max()
+            p = transition_matrix(rates, dt)
+            pi = stationary_fractions(rates)
+            assert np.abs(p @ pi - pi).max() < 1e-12
+            assert np.abs(quantum_step_exact(pi, step_operator(decompose(p))) - pi).max() < 1e-10
